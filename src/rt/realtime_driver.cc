@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
 #include <thread>
 #include <utility>
 
-#include "cleanup/cleanup.h"
 #include "common/check.h"
-#include "common/logging.h"
 #include "obs/taxonomy.h"
 #include "runtime/exec_pool.h"
-#include "storage/disk_backend.h"
-#include "stream/stream_generator.h"
-#include "stream/trace.h"
 
 namespace dcape {
 namespace rt {
@@ -31,250 +25,56 @@ constexpr int kPollBudget = 256;
 
 RealtimeDriver::RealtimeDriver(const ClusterConfig& config,
                                const RealtimeOptions& options)
-    : config_(config),
-      options_(options),
-      coordinator_node_(config.num_engines),
-      sink_node_(config.num_engines + 1),
-      generator_node_(config.num_engines + 2),
-      num_hosts_(std::clamp(config.num_split_hosts, 1,
-                            config.workload.num_streams)),
-      num_nodes_(config.num_engines + 3 + num_hosts_),
-      sink_(config.collect_results) {
-  DCAPE_CHECK_GT(config_.num_engines, 0);
+    : options_(options),
+      transport_(Topology::NumNodes(config),
+                 SpscTransport::Config{.link_capacity = options.link_capacity}),
+      topology_(config, &transport_, "realtime driver",
+                [this](const ResultBatch& batch) { OnResultBatch(batch); }) {
   // The realtime plane runs without the simulator-only machinery: fault
   // plans and invariant recorders assume single-threaded deterministic
   // stepping, and window eviction compares tick-domain timestamps
   // against the node's clock — which here is the wall clock.
-  DCAPE_CHECK(config_.fault_plan == nullptr);
-  DCAPE_CHECK(config_.invariants == nullptr);
-  DCAPE_CHECK_EQ(config_.join_window_ticks, 0);
-  const int num_streams = config_.workload.num_streams;
+  DCAPE_CHECK(config.fault_plan == nullptr);
+  DCAPE_CHECK(config.invariants == nullptr);
+  DCAPE_CHECK_EQ(config.join_window_ticks, 0);
 
   if (options_.rate > 0) {
     // rate tuples/sec over all streams; the workload emits
     // num_streams / inter_arrival tuples per tick on average, so pace
     // the tick cursor at rate / (that density) ticks per wall second.
     const double tuples_per_tick =
-        static_cast<double>(num_streams) /
-        static_cast<double>(config_.workload.inter_arrival_ticks);
+        static_cast<double>(config.workload.num_streams) /
+        static_cast<double>(config.workload.inter_arrival_ticks);
     ticks_per_sec_ = static_cast<double>(options_.rate) / tuples_per_tick;
     DCAPE_CHECK_GT(ticks_per_sec_, 0);
   }
 
-  SpscTransport::Config transport_config;
-  transport_config.link_capacity = options_.link_capacity;
-  transport_ = std::make_unique<SpscTransport>(num_nodes_, transport_config);
+  latency_us_ = topology_.metrics().AddHistogram(obs::m::kRtLatencyUs);
 
-  if (config_.trace) {
-    // Same lane layout as the simulator driver; spans are stamped with
-    // wall milliseconds since run start instead of virtual ticks.
-    const int highest_node = generator_node_ + num_hosts_;
-    tracer_ = std::make_unique<obs::Tracer>(highest_node + 2,
-                                            config_.trace_verbose);
-    for (EngineId e = 0; e < config_.num_engines; ++e) {
-      tracer_->SetLaneName(e, "engine " + std::to_string(e));
-    }
-    tracer_->SetLaneName(coordinator_node_, "coordinator");
-    tracer_->SetLaneName(sink_node_, "sink");
-    tracer_->SetLaneName(generator_node_, "generator");
-    for (int h = 0; h < num_hosts_; ++h) {
-      tracer_->SetLaneName(generator_node_ + 1 + h,
-                           "split host " + std::to_string(h));
-    }
-    tracer_->SetLaneName(tracer_->driver_lane(), "realtime driver");
-  }
-
-  config_.cleanup.projection = config_.projection;
-  config_.cleanup.window_ticks = config_.join_window_ticks;
-  placement_ = ComputePlacement(config_.workload.num_partitions,
-                                config_.num_engines,
-                                config_.placement_fractions);
-  if (config_.workload.fluctuation.enabled &&
-      config_.workload.fluctuation.set_a.empty()) {
-    config_.workload.fluctuation.set_a = PartitionsOfEngine(placement_, 0);
-  }
-
-  latency_us_ = metrics_.AddHistogram(obs::m::kRtLatencyUs);
-
-  // Query engines — identical wiring to Cluster's constructor, minus
-  // the simulator-only fault hooks.
-  if (config_.async_spill_io) {
-    io_executor_ = std::make_unique<IoExecutor>();
-  }
-  for (EngineId e = 0; e < config_.num_engines; ++e) {
-    EngineConfig engine_config;
-    engine_config.engine_id = e;
-    engine_config.node_id = e;
-    engine_config.coordinator_node = coordinator_node_;
-    engine_config.sink_node = sink_node_;
-    engine_config.num_streams = num_streams;
-    engine_config.num_split_hosts = num_hosts_;
-    engine_config.strategy = config_.strategy;
-    engine_config.spill = config_.spill;
-    engine_config.productivity = config_.productivity;
-    engine_config.restore = config_.restore;
-    engine_config.window_ticks = config_.join_window_ticks;
-    if (!config_.per_engine_thresholds.empty()) {
-      DCAPE_CHECK_EQ(config_.per_engine_thresholds.size(),
-                     static_cast<size_t>(config_.num_engines));
-      engine_config.spill.memory_threshold_bytes =
-          config_.per_engine_thresholds[static_cast<size_t>(e)];
-    }
-    engine_config.stats_period = config_.stats_period;
-    engine_config.projection = config_.projection;
-    engine_config.segment_format = config_.segment_format;
-    if (!config_.per_engine_segment_format.empty()) {
-      DCAPE_CHECK_EQ(config_.per_engine_segment_format.size(),
-                     static_cast<size_t>(config_.num_engines));
-      engine_config.segment_format =
-          config_.per_engine_segment_format[static_cast<size_t>(e)];
-    }
-    engine_config.seed = config_.seed + 1000 + static_cast<uint64_t>(e);
-    engine_config.metrics = &metrics_;
-    engine_config.tracer = tracer_.get();
-
-    std::unique_ptr<DiskBackend> backend;
-    if (config_.use_file_backend) {
-      backend = MakeTempFileBackend(config_.file_backend_prefix + "_rt_e" +
-                                    std::to_string(e));
-    } else {
-      backend = std::make_unique<MemoryDiskBackend>();
-    }
-    engines_.push_back(std::make_unique<QueryEngine>(
-        engine_config, transport_.get(), config_.disk, std::move(backend),
-        io_executor_.get()));
-  }
-
-  // Global coordinator.
-  CoordinatorConfig coord_config;
-  coord_config.node_id = coordinator_node_;
-  for (EngineId e = 0; e < config_.num_engines; ++e) {
-    coord_config.engine_nodes.push_back(e);
-    coord_config.engine_memory_thresholds.push_back(
-        engines_[static_cast<size_t>(e)]->config().spill
-            .memory_threshold_bytes);
-  }
-  for (int h = 0; h < num_hosts_; ++h) {
-    coord_config.split_hosts.push_back(generator_node_ + 1 + h);
-  }
-  coord_config.strategy = config_.strategy;
-  coord_config.relocation = config_.relocation;
-  coord_config.active = config_.active_disk;
-  coord_config.metrics = &metrics_;
-  coord_config.tracer = tracer_.get();
-  coordinator_ =
-      std::make_unique<GlobalCoordinator>(coord_config, transport_.get());
-
-  // Split hosts: streams round-robin over the hosts, as in the
-  // simulator.
-  if (!config_.select_per_stream.empty()) {
-    DCAPE_CHECK_EQ(config_.select_per_stream.size(),
-                   static_cast<size_t>(num_streams));
-  }
-  std::vector<NodeId> host_of_stream(static_cast<size_t>(num_streams));
-  for (int h = 0; h < num_hosts_; ++h) {
-    SplitHostConfig split_config;
-    split_config.node_id = generator_node_ + 1 + h;
-    split_config.coordinator_node = coordinator_node_;
-    for (StreamId s = h; s < num_streams; s += num_hosts_) {
-      split_config.streams.push_back(s);
-      host_of_stream[static_cast<size_t>(s)] = split_config.node_id;
-      if (!config_.select_per_stream.empty()) {
-        split_config.select_per_stream.push_back(
-            config_.select_per_stream[static_cast<size_t>(s)]);
-      }
-    }
-    split_config.project_payload_to = config_.project_payload_to;
-    split_config.tracer = tracer_.get();
-    split_hosts_.push_back(std::make_unique<SplitHost>(
-        split_config, placement_, transport_.get()));
-  }
-
-  // Stream generator (synthetic workload or trace replay), exactly as
-  // in the simulator so the emitted tuple sequence for a given tick
-  // range is bit-identical.
-  std::unique_ptr<InputSource> source;
-  if (config_.replay_trace != nullptr) {
-    StatusOr<TraceSource> trace =
-        TraceSource::FromBytes(*config_.replay_trace);
-    DCAPE_CHECK(trace.ok());
-    DCAPE_CHECK_EQ(trace->num_streams(), num_streams);
-    source = std::make_unique<TraceSource>(*std::move(trace));
-  } else {
-    source = std::make_unique<StreamGenerator>(config_.workload);
-  }
-  generator_ = std::make_unique<GeneratorNode>(
-      generator_node_, std::move(source), host_of_stream, transport_.get(),
-      config_.record_trace != nullptr ? config_.record_trace.get() : nullptr);
-
-  // Delivery handlers (wiring time, before any thread starts).
-  for (EngineId e = 0; e < config_.num_engines; ++e) {
-    QueryEngine* engine = engines_[static_cast<size_t>(e)].get();
-    transport_->RegisterNode(e, [engine](Tick now, Message& m) {
-      if (m.type == MessageType::kTupleBatch) {
-        engine->OnTupleBatch(now, std::move(std::get<TupleBatch>(m.payload)));
-      } else {
-        engine->OnMessage(now, m);
-      }
-    });
-  }
-  transport_->RegisterNode(coordinator_node_,
-                           [this](Tick now, const Message& m) {
-                             coordinator_->OnMessage(now, m);
-                           });
-  for (int h = 0; h < num_hosts_; ++h) {
-    SplitHost* host = split_hosts_[static_cast<size_t>(h)].get();
-    transport_->RegisterNode(generator_node_ + 1 + h,
-                             [host](Tick now, Message& m) {
-                               if (m.type == MessageType::kTupleBatch) {
-                                 host->OnTupleBatch(
-                                     now, std::move(std::get<TupleBatch>(
-                                              m.payload)));
-                               } else {
-                                 host->OnMessage(now, m);
-                               }
-                             });
-  }
-  if (config_.aggregate_op.has_value()) {
-    aggregate_ = std::make_unique<GroupByAggregate>(*config_.aggregate_op);
-  }
-  transport_->RegisterNode(sink_node_, [this](Tick now, Message& m) {
-    DCAPE_CHECK(m.type == MessageType::kResultBatch);
-    auto& batch = std::get<ResultBatch>(m.payload);
-    if (batch.emit_wall_us > 0 && !batch.results.empty()) {
-      const int64_t lat =
-          std::max<int64_t>(0, clock_.NowMicros() - batch.emit_wall_us);
-      for (size_t i = 0; i < batch.results.size(); ++i) {
-        latency_us_->Add(lat);
-        latency_ms_.Add(lat / 1000);
-      }
-    }
-    const int64_t n = static_cast<int64_t>(batch.results.size());
-    if (aggregate_ != nullptr) aggregate_->ConsumeAll(batch.results);
-    union_op_.Add(std::move(batch.results));
-    sink_.Consume(now, union_op_.Drain());
-    results_total_.fetch_add(n, std::memory_order_relaxed);
-  });
-
-  // Registrations never grow after this point (the generator node needs
-  // no handler: nothing sends to it).
-  published_state_bytes_.reserve(static_cast<size_t>(config_.num_engines));
-  published_idle_.reserve(static_cast<size_t>(config_.num_engines));
-  for (EngineId e = 0; e < config_.num_engines; ++e) {
+  published_state_bytes_.reserve(static_cast<size_t>(config.num_engines));
+  published_idle_.reserve(static_cast<size_t>(config.num_engines));
+  for (EngineId e = 0; e < config.num_engines; ++e) {
     published_state_bytes_.push_back(
         std::make_unique<std::atomic<int64_t>>(0));
     published_idle_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
-  for (int h = 0; h < num_hosts_; ++h) {
+  for (int h = 0; h < topology_.num_split_hosts(); ++h) {
     published_buffered_.push_back(
         std::make_unique<std::atomic<int64_t>>(0));
   }
-  memory_series_.resize(static_cast<size_t>(config_.num_engines));
-  for (EngineId e = 0; e < config_.num_engines; ++e) {
-    memory_series_[static_cast<size_t>(e)].set_name(
-        "engine" + std::to_string(e) + "_bytes");
+}
+
+void RealtimeDriver::OnResultBatch(const ResultBatch& batch) {
+  if (batch.emit_wall_us > 0 && !batch.results.empty()) {
+    const int64_t lat =
+        std::max<int64_t>(0, clock_.NowMicros() - batch.emit_wall_us);
+    for (size_t i = 0; i < batch.results.size(); ++i) {
+      latency_us_->Add(lat);
+      latency_ms_.Add(lat / 1000);
+    }
   }
-  throughput_series_.set_name("cumulative_results");
+  results_total_.fetch_add(static_cast<int64_t>(batch.results.size()),
+                           std::memory_order_relaxed);
 }
 
 RealtimeDriver::~RealtimeDriver() {
@@ -288,59 +88,58 @@ RealtimeDriver::~RealtimeDriver() {
 }
 
 void RealtimeDriver::EngineLoop(EngineId e) {
-  QueryEngine& engine = *engines_[static_cast<size_t>(e)];
+  QueryEngine& engine = topology_.engine(e);
   const NodeId node = e;
   std::atomic<int64_t>& state_bytes =
       *published_state_bytes_[static_cast<size_t>(e)];
   std::atomic<bool>& idle = *published_idle_[static_cast<size_t>(e)];
   while (phase_.load(std::memory_order_acquire) != Phase::kStopped) {
     const Tick now = clock_.NowMs();
-    const int delivered = transport_->Poll(node, now, kPollBudget);
+    const int delivered = transport_.Poll(node, now, kPollBudget);
     engine.OnTick(now);
     state_bytes.store(engine.state_bytes(), std::memory_order_relaxed);
-    idle.store(engine.Idle(now) && transport_->InboundEmpty(node),
+    idle.store(engine.Idle(now) && transport_.InboundEmpty(node),
                std::memory_order_release);
-    if (delivered == 0) transport_->WaitForInbound(node, kIdleWaitMicros);
+    if (delivered == 0) transport_.WaitForInbound(node, kIdleWaitMicros);
   }
 }
 
 void RealtimeDriver::SplitHostLoop(int h) {
-  SplitHost& host = *split_hosts_[static_cast<size_t>(h)];
-  const NodeId node = generator_node_ + 1 + h;
+  SplitHost& host = topology_.split_host(h);
+  const NodeId node = topology_.split_host_node(h);
   std::atomic<int64_t>& buffered = *published_buffered_[static_cast<size_t>(h)];
   while (phase_.load(std::memory_order_acquire) != Phase::kStopped) {
     const Tick now = clock_.NowMs();
-    const int delivered = transport_->Poll(node, now, kPollBudget);
+    const int delivered = transport_.Poll(node, now, kPollBudget);
     buffered.store(host.total_buffered(), std::memory_order_release);
-    if (delivered == 0) transport_->WaitForInbound(node, kIdleWaitMicros);
+    if (delivered == 0) transport_.WaitForInbound(node, kIdleWaitMicros);
   }
 }
 
 void RealtimeDriver::CoordinatorLoop() {
+  GlobalCoordinator& coordinator = topology_.coordinator();
+  const NodeId node = topology_.coordinator_node();
   while (phase_.load(std::memory_order_acquire) != Phase::kStopped) {
     const Tick now = clock_.NowMs();
-    const int delivered = transport_->Poll(coordinator_node_, now, kPollBudget);
+    const int delivered = transport_.Poll(node, now, kPollBudget);
     // Adaptation decisions stop once generation ends, mirroring the
     // simulator's drain (Cluster suppresses coordinator OnTick while
     // draining); in-flight protocol exchanges still complete above.
     if (phase_.load(std::memory_order_acquire) == Phase::kRunning) {
-      coordinator_->OnTick(now);
+      coordinator.OnTick(now);
     }
-    coordinator_quiet_.store(!coordinator_->relocation_in_flight(),
+    coordinator_quiet_.store(!coordinator.relocation_in_flight(),
                              std::memory_order_release);
-    if (delivered == 0) {
-      transport_->WaitForInbound(coordinator_node_, kIdleWaitMicros);
-    }
+    if (delivered == 0) transport_.WaitForInbound(node, kIdleWaitMicros);
   }
 }
 
 void RealtimeDriver::SinkLoop() {
+  const NodeId node = topology_.sink_node();
   while (phase_.load(std::memory_order_acquire) != Phase::kStopped) {
     const Tick now = clock_.NowMs();
-    const int delivered = transport_->Poll(sink_node_, now, kPollBudget);
-    if (delivered == 0) {
-      transport_->WaitForInbound(sink_node_, kIdleWaitMicros);
-    }
+    const int delivered = transport_.Poll(node, now, kPollBudget);
+    if (delivered == 0) transport_.WaitForInbound(node, kIdleWaitMicros);
   }
 }
 
@@ -351,6 +150,7 @@ void RealtimeDriver::GeneratorLoop() {
   // admits (free-run). Falling behind schedule is handled by catching
   // up, never by skipping ticks: the emitted tuple set stays exactly
   // the tick-range prefix the oracle replays.
+  GeneratorNode& generator = topology_.generator();
   const int64_t duration_us =
       static_cast<int64_t>(options_.duration_sec) * 1000 * 1000;
   Tick t = 0;
@@ -371,20 +171,20 @@ void RealtimeDriver::GeneratorLoop() {
         now_us = clock_.NowMicros();
       }
       ticks_emitted_.store(t, std::memory_order_release);
-      generator_->StampNextEmit(clock_.NowMicros());
-      generator_->OnTick(t, /*generate=*/true);
+      generator.StampNextEmit(clock_.NowMicros());
+      generator.OnTick(t, /*generate=*/true);
     }
   } else {
     while (clock_.NowMicros() < duration_us) {
       ticks_emitted_.store(t, std::memory_order_release);
-      generator_->StampNextEmit(clock_.NowMicros());
-      generator_->OnTick(t, /*generate=*/true);
+      generator.StampNextEmit(clock_.NowMicros());
+      generator.OnTick(t, /*generate=*/true);
       ++t;
     }
   }
   // t is one past the last emitted tick in both branches' exit paths.
   ticks_emitted_.store(t - 1, std::memory_order_release);
-  generator_->FinishTrace();
+  generator.FinishTrace();
 }
 
 void RealtimeDriver::SamplerLoop() {
@@ -392,21 +192,18 @@ void RealtimeDriver::SamplerLoop() {
   // benchmark runs still get a handful of points. All reads are from
   // published atomics — the sampler never touches node-owned state.
   const int64_t period_ms =
-      std::clamp<int64_t>(config_.sample_period, 10, 1000);
+      std::clamp<int64_t>(topology_.config().sample_period, 10, 1000);
   Tick next_sample = 0;
   while (phase_.load(std::memory_order_acquire) != Phase::kStopped) {
     const Tick now = clock_.NowMs();
     if (now >= next_sample) {
       next_sample = now + period_ms;
-      throughput_series_.Add(
-          now, static_cast<double>(
-                   results_total_.load(std::memory_order_relaxed)));
-      for (EngineId e = 0; e < config_.num_engines; ++e) {
-        memory_series_[static_cast<size_t>(e)].Add(
-            now, static_cast<double>(
-                     published_state_bytes_[static_cast<size_t>(e)]->load(
-                         std::memory_order_relaxed)));
-      }
+      topology_.AddSample(
+          now, results_total_.load(std::memory_order_relaxed),
+          [&](EngineId e) {
+            return published_state_bytes_[static_cast<size_t>(e)]->load(
+                std::memory_order_relaxed);
+          });
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(
         std::min<int64_t>(period_ms, 50)));
@@ -426,7 +223,7 @@ void RealtimeDriver::AwaitQuiescence() {
   while (stable < 3) {
     DCAPE_CHECK_LT(clock_.NowMs(), deadline);
         // realtime pipeline failed to quiesce after generation stopped
-    bool quiet = transport_->Outstanding() == 0 &&
+    bool quiet = transport_.Outstanding() == 0 &&
                  coordinator_quiet_.load(std::memory_order_acquire);
     if (quiet) {
       for (const auto& idle : published_idle_) {
@@ -450,11 +247,13 @@ void RealtimeDriver::AwaitQuiescence() {
 }
 
 RunResult RealtimeDriver::Run() {
+  const ClusterConfig& config = topology_.config();
+  const int num_hosts = topology_.num_split_hosts();
   phase_.store(Phase::kRunning, std::memory_order_release);
-  for (EngineId e = 0; e < config_.num_engines; ++e) {
+  for (EngineId e = 0; e < config.num_engines; ++e) {
     threads_.emplace_back([this, e] { EngineLoop(e); });
   }
-  for (int h = 0; h < num_hosts_; ++h) {
+  for (int h = 0; h < num_hosts; ++h) {
     threads_.emplace_back([this, h] { SplitHostLoop(h); });
   }
   threads_.emplace_back([this] { CoordinatorLoop(); });
@@ -477,8 +276,8 @@ RunResult RealtimeDriver::Run() {
   report_.generate_wall_sec = generate_wall_sec;
   report_.total_wall_sec = total_wall_sec;
   report_.ticks_run = ticks_emitted_.load(std::memory_order_acquire);
-  report_.tuples_generated = generator_->source().total_emitted();
-  report_.runtime_results = sink_.total();
+  report_.tuples_generated = topology_.source().total_emitted();
+  report_.runtime_results = topology_.sink().total();
   report_.tuples_per_sec =
       generate_wall_sec > 0
           ? static_cast<double>(report_.tuples_generated) / generate_wall_sec
@@ -488,75 +287,26 @@ RunResult RealtimeDriver::Run() {
           ? static_cast<double>(report_.runtime_results) / generate_wall_sec
           : 0;
   report_.latency_us = *latency_us_;
-  report_.backpressure_parks = transport_->TotalStats().backpressure_parks;
-  report_.engine_threads = config_.num_engines;
-  report_.total_threads = config_.num_engines + num_hosts_ + 3;
+  const SpscTransport::Stats transport_stats = transport_.TotalStats();
+  report_.backpressure_parks = transport_stats.backpressure_parks;
+  report_.engine_threads = config.num_engines;
+  report_.total_threads = config.num_engines + num_hosts + 3;
 
-  RunResult result = Collect();
-  if (config_.run_cleanup) {
-    std::vector<const SpillStore*> stores;
-    std::vector<const StateManager*> states;
-    for (auto& engine : engines_) {
-      stores.push_back(&engine->spill_store());
-      states.push_back(&engine->mjoin().state());
-    }
-    CleanupProcessor processor(config_.cleanup, config_.workload.num_streams);
-    ExecPool pool(std::max(1, config_.num_threads));
-    StatusOr<CleanupStats> cleanup = processor.Run(stores, states, &pool);
-    DCAPE_CHECK(cleanup.ok());
-    result.cleanup = std::move(cleanup).value();
-  }
-  return result;
-}
-
-RunResult RealtimeDriver::Collect() {
-  RunResult result;
-  result.throughput = throughput_series_;
-  result.engine_memory = memory_series_;
-  result.runtime_results = sink_.total();
+  Network::Stats network;
+  network.messages_sent = transport_stats.messages_sent;
+  network.bytes_sent = transport_stats.bytes_sent;
+  network.state_transfer_bytes = transport_stats.state_transfer_bytes;
   // The sink's internal tick-domain histogram is meaningless when wall
   // time and tuple ticks diverge (rate pacing, free-run); report the
   // wall-clock end-to-end measurement instead, in milliseconds to match
   // the slot's unit.
-  result.runtime_latency = latency_ms_;
-  result.tuples_generated = generator_->source().total_emitted();
-  result.runtime_end = clock_.NowMs();
-  result.coordinator = coordinator_->counters();
-  const SpscTransport::Stats transport_stats = transport_->TotalStats();
-  result.network.messages_sent = transport_stats.messages_sent;
-  result.network.bytes_sent = transport_stats.bytes_sent;
-  result.network.state_transfer_bytes = transport_stats.state_transfer_bytes;
-  const int64_t queue_high_water =
-      io_executor_ != nullptr ? io_executor_->queue_high_water() : 0;
-  for (auto& engine : engines_) {
-    QueryEngine::Counters ec = engine->counters();
-    result.spilled_bytes += ec.spilled_bytes;
-    result.spill_events += ec.spill_events + ec.forced_spill_events;
-    result.engines.push_back(std::move(ec));
-    const SpillStore& store = engine->spill_store();
-    StorageCounters storage;
-    storage.segments_written = store.segments_written();
-    storage.segments_resident = store.segment_count();
-    storage.resident_bytes = store.resident_bytes();
-    storage.encoded_bytes = store.total_spilled_bytes();
-    storage.raw_bytes = store.total_raw_bytes();
-    storage.io_queue_high_water = queue_high_water;
-    storage.partial_segments_written = store.partial_segments_written();
-    storage.partial_encoded_bytes = store.partial_encoded_bytes();
-    storage.partial_raw_bytes = store.partial_raw_bytes();
-    result.engine_storage.push_back(storage);
-    result.storage.segments_written += storage.segments_written;
-    result.storage.segments_resident += storage.segments_resident;
-    result.storage.resident_bytes += storage.resident_bytes;
-    result.storage.encoded_bytes += storage.encoded_bytes;
-    result.storage.raw_bytes += storage.raw_bytes;
-    result.storage.partial_segments_written += storage.partial_segments_written;
-    result.storage.partial_encoded_bytes += storage.partial_encoded_bytes;
-    result.storage.partial_raw_bytes += storage.partial_raw_bytes;
-  }
-  result.storage.io_queue_high_water = queue_high_water;
-  if (config_.collect_results) {
-    result.collected = sink_.collected();
+  RunResult result = topology_.Collect(network, clock_.NowMs(), latency_ms_);
+  if (config.run_cleanup) {
+    ExecPool pool(std::max(1, config.num_threads));
+    StatusOr<CleanupStats> cleanup =
+        topology_.RunCleanup(&pool, clock_.NowMs());
+    DCAPE_CHECK(cleanup.ok());
+    result.cleanup = std::move(cleanup).value();
   }
   return result;
 }

@@ -9,22 +9,13 @@
 
 #include "common/ids.h"
 #include "common/virtual_clock.h"
-#include "core/global_coordinator.h"
-#include "engine/query_engine.h"
 #include "metrics/histogram.h"
-#include "metrics/time_series.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "operators/aggregate.h"
-#include "operators/sink.h"
-#include "operators/union_op.h"
 #include "rt/spsc_transport.h"
 #include "rt/wall_clock.h"
 #include "runtime/cluster_config.h"
-#include "runtime/generator_node.h"
 #include "runtime/run_result.h"
-#include "runtime/split_host.h"
-#include "storage/io_executor.h"
+#include "runtime/topology.h"
 
 namespace dcape {
 namespace rt {
@@ -77,14 +68,14 @@ struct RealtimeReport {
   int total_threads = 0;
 };
 
-/// The free-running realtime driver: the same operator and adaptation
-/// code the deterministic simulator runs (QueryEngine, SplitHost,
-/// GlobalCoordinator, GeneratorNode, union + sink), but with one real
-/// thread per node, bounded lock-free SPSC links instead of the
-/// tick-barrier network, and `now` = wall milliseconds since run start
-/// (one tick == one wall ms, the simulator's own tick definition) so
-/// every periodic timer in the engines and the coordinator fires on a
-/// real steady-clock cadence.
+/// The free-running realtime driver: the same node set the deterministic
+/// simulator runs (a Topology: QueryEngine, SplitHost, GlobalCoordinator,
+/// GeneratorNode, union + sink), but scheduled with one real thread per
+/// node over bounded lock-free SPSC links instead of the tick-barrier
+/// network, and `now` = wall milliseconds since run start (one tick ==
+/// one wall ms, the simulator's own tick definition) so every periodic
+/// timer in the engines and the coordinator fires on a real steady-clock
+/// cadence.
 ///
 /// The deterministic simulator remains the correctness oracle: the
 /// generator paces a virtual-tick cursor, so the emitted tuple set for
@@ -112,9 +103,9 @@ class RealtimeDriver {
 
   /// Wall-clock measurements (valid after Run).
   const RealtimeReport& report() const { return report_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return topology_.metrics(); }
   const SpscTransport::Stats transport_stats() const {
-    return transport_->TotalStats();
+    return transport_.TotalStats();
   }
 
  private:
@@ -128,32 +119,17 @@ class RealtimeDriver {
   void SamplerLoop();
   /// Blocks until the pipeline is quiescent after generation stops.
   void AwaitQuiescence();
-  RunResult Collect();
+  /// Sink hook: wall-clock latency and the published result count.
+  void OnResultBatch(const ResultBatch& batch);
 
-  ClusterConfig config_;
   RealtimeOptions options_;
-  NodeId coordinator_node_;
-  NodeId sink_node_;
-  NodeId generator_node_;
-  int num_hosts_;
-  int num_nodes_;
   /// Ticks per wall second the generator paces at (rate mode); 0 in
   /// free-run.
   double ticks_per_sec_ = 0;
 
   WallClock clock_;
-  std::unique_ptr<SpscTransport> transport_;
-  obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<IoExecutor> io_executor_;
-  std::vector<EngineId> placement_;
-  std::vector<std::unique_ptr<QueryEngine>> engines_;
-  std::unique_ptr<GlobalCoordinator> coordinator_;
-  std::vector<std::unique_ptr<SplitHost>> split_hosts_;
-  std::unique_ptr<GeneratorNode> generator_;
-  std::unique_ptr<GroupByAggregate> aggregate_;
-  UnionOp union_op_;
-  ResultSink sink_;
+  SpscTransport transport_;
+  Topology topology_;
 
   std::atomic<Phase> phase_{Phase::kRunning};
   /// Highest tick emitted (generator thread publishes, oracle + sink
@@ -172,12 +148,8 @@ class RealtimeDriver {
 
   /// Sink-thread-owned latency measures: microseconds into the registry
   /// histogram (authoritative), milliseconds into the RunResult slot.
-  Histogram* latency_us_ = nullptr;  // owned by metrics_
+  Histogram* latency_us_ = nullptr;  // owned by the topology's registry
   Histogram latency_ms_;
-
-  /// Sampler-thread-owned series, read at Collect after join.
-  TimeSeries throughput_series_;
-  std::vector<TimeSeries> memory_series_;
 
   std::vector<std::thread> threads_;  // engines, hosts, coord, sink, sampler
   std::thread generator_thread_;

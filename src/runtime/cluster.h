@@ -1,7 +1,6 @@
 #ifndef DCAPE_RUNTIME_CLUSTER_H_
 #define DCAPE_RUNTIME_CLUSTER_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -14,24 +13,18 @@
 #include "obs/trace.h"
 #include "operators/aggregate.h"
 #include "operators/sink.h"
-#include "operators/union_op.h"
 #include "runtime/cluster_config.h"
 #include "runtime/exec_pool.h"
 #include "runtime/run_result.h"
-#include "runtime/generator_node.h"
 #include "runtime/split_host.h"
-#include "stream/stream_generator.h"
+#include "runtime/topology.h"
+#include "stream/input_source.h"
 
 namespace dcape {
 
-/// The assembled distributed system (paper Fig. 4): N query engines, the
-/// global coordinator, the stream-generator node hosting the splits, and
-/// the application-server node hosting union + sink, all wired over the
-/// simulated network and driven by the virtual clock.
-///
-/// Node addressing convention: engine e is node e; then the coordinator,
-/// the application server (sink), the stream generator, and the split
-/// hosts occupy the following ids.
+/// The deterministic simulator driver: the D-CAPE node set (a Topology,
+/// paper Fig. 4) wired over the simulated network and stepped tick by
+/// tick on the virtual clock. Node ids follow the Topology convention.
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config);
@@ -64,46 +57,42 @@ class Cluster {
   /// construction.
   static std::vector<EngineId> PlacementFor(const ClusterConfig& config);
 
-  QueryEngine& engine(EngineId e) { return *engines_[static_cast<size_t>(e)]; }
-  const QueryEngine& engine(EngineId e) const {
-    return *engines_[static_cast<size_t>(e)];
-  }
-  int num_engines() const { return static_cast<int>(engines_.size()); }
-  GlobalCoordinator& coordinator() { return *coordinator_; }
+  QueryEngine& engine(EngineId e) { return topology_.engine(e); }
+  const QueryEngine& engine(EngineId e) const { return topology_.engine(e); }
+  int num_engines() const { return topology_.num_engines(); }
+  GlobalCoordinator& coordinator() { return topology_.coordinator(); }
   /// The first split host (hosts every stream when num_split_hosts == 1).
-  SplitHost& split_host() { return *split_hosts_[0]; }
-  SplitHost& split_host(int host) {
-    return *split_hosts_[static_cast<size_t>(host)];
-  }
-  int num_split_hosts() const {
-    return static_cast<int>(split_hosts_.size());
-  }
+  SplitHost& split_host() { return topology_.split_host(0); }
+  SplitHost& split_host(int host) { return topology_.split_host(host); }
+  int num_split_hosts() const { return topology_.num_split_hosts(); }
   /// The split host carrying `stream`'s split operator.
   SplitHost& split_host_for_stream(StreamId stream) {
-    return *split_hosts_[static_cast<size_t>(stream) % split_hosts_.size()];
+    return topology_.split_host(stream % topology_.num_split_hosts());
   }
   /// The input source feeding the cluster (generator or trace).
-  const InputSource& source() const { return generator_->source(); }
-  ResultSink& sink() { return sink_; }
+  const InputSource& source() const { return topology_.source(); }
+  ResultSink& sink() { return topology_.sink(); }
   /// The application server's grouped aggregate (null unless
   /// `aggregate_op` was configured). Note: runtime results only; fold the
   /// cleanup results in with ConsumeAll to get the final answer.
-  GroupByAggregate* aggregate() { return aggregate_.get(); }
+  GroupByAggregate* aggregate() { return topology_.aggregate(); }
   Network& network() { return network_; }
   Tick now() const { return clock_.now(); }
-  const std::vector<EngineId>& placement() const { return placement_; }
-  const ClusterConfig& config() const { return config_; }
+  const std::vector<EngineId>& placement() const {
+    return topology_.placement();
+  }
+  const ClusterConfig& config() const { return topology_.config(); }
 
-  NodeId coordinator_node() const { return coordinator_node_; }
-  NodeId sink_node() const { return sink_node_; }
-  NodeId generator_node() const { return generator_node_; }
+  NodeId coordinator_node() const { return topology_.coordinator_node(); }
+  NodeId sink_node() const { return topology_.sink_node(); }
+  NodeId generator_node() const { return topology_.generator_node(); }
 
   /// The unified metrics registry: every engine/coordinator/storage
   /// counter in the cluster lives here (single source for RunResult and
   /// the trace's sampled counter events).
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return topology_.metrics(); }
   /// The structured trace, or null when `config.trace` is off.
-  const obs::Tracer* tracer() const { return tracer_.get(); }
+  const obs::Tracer* tracer() const { return topology_.tracer(); }
 
  private:
   void StepTick(Tick now, bool generate);
@@ -119,42 +108,15 @@ class Cluster {
   /// True for nodes whose inboxes may be drained concurrently (each such
   /// node's state is touched only by its own task).
   bool IsConcurrentNode(NodeId node) const {
-    return node < static_cast<NodeId>(config_.num_engines) ||
-           node > generator_node_;
+    return node < topology_.num_engines() || node > topology_.generator_node();
   }
 
-  ClusterConfig config_;
-  NodeId coordinator_node_;
-  NodeId sink_node_;
-  NodeId generator_node_;
-  /// Declared before the engines/coordinator, whose metric cells point
-  /// into it (and are therefore destroyed first).
-  obs::MetricsRegistry metrics_;
-  /// Null unless config_.trace; lanes = every node + one driver lane.
-  std::unique_ptr<obs::Tracer> tracer_;
   ExecPool pool_;
+  /// Declared before the topology, whose nodes hold a pointer to it.
   Network network_;
-  std::vector<EngineId> placement_;
-  /// Background spill-write thread (config_.async_spill_io). Declared
-  /// before engines_ so it outlives them: each engine's SpillStore
-  /// drains its queued writes on destruction.
-  std::unique_ptr<IoExecutor> io_executor_;
-  std::vector<std::unique_ptr<QueryEngine>> engines_;
-  std::unique_ptr<GlobalCoordinator> coordinator_;
-  std::unique_ptr<GeneratorNode> generator_;
-  std::vector<std::unique_ptr<SplitHost>> split_hosts_;
-  UnionOp union_op_;
-  ResultSink sink_;
-  std::unique_ptr<GroupByAggregate> aggregate_;
+  Topology topology_;
   VirtualClock clock_;
-  /// cleanup.* gauges, registered on the first RunCleanup (streaming
-  /// pipeline observability; all zero under --cleanup-mode=materialize).
-  obs::Gauge* cleanup_peak_gauge_ = nullptr;
-  obs::Gauge* cleanup_blocks_gauge_ = nullptr;
-  obs::Gauge* cleanup_stalls_gauge_ = nullptr;
   Tick next_sample_ = 0;
-  TimeSeries throughput_series_;
-  std::vector<TimeSeries> memory_series_;
   bool draining_ = false;
 };
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "stream/trace.h"
 
 namespace dcape {
 
@@ -281,6 +282,21 @@ Status ClusterConfig::Builder::Validate() const {
           static_cast<size_t>(c.num_engines)) {
     return Status::InvalidArgument(
         "per_engine_segment_format must list one format per engine");
+  }
+  if (c.replay_trace != nullptr) {
+    int trace_streams = 0;
+    StatusOr<std::vector<TraceRecord>> records =
+        DecodeTrace(*c.replay_trace, &trace_streams);
+    if (!records.ok()) {
+      return Status::InvalidArgument("--replay-trace is not a valid trace: " +
+                                     records.status().message());
+    }
+    if (trace_streams != c.workload.num_streams) {
+      return Status::InvalidArgument(
+          "--replay-trace holds " + std::to_string(trace_streams) +
+          " streams but --streams is " +
+          std::to_string(c.workload.num_streams));
+    }
   }
   if (c.trace_verbose && !c.trace) {
     return Status::InvalidArgument("--trace-verbose requires --trace");

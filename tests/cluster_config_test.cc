@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
+
+#include "stream/trace.h"
 
 namespace dcape {
 namespace {
@@ -258,6 +262,41 @@ TEST(ClusterConfigBuilderTest, MutableConfigEscapeHatchStillRangeChecked) {
   Status status = builder.Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("--inter-arrival-ms"), std::string::npos);
+}
+
+/// A replay trace of `num_streams` streams holding one tuple.
+std::shared_ptr<const std::string> OneTupleTrace(int num_streams) {
+  auto data = std::make_shared<std::string>();
+  TraceWriter writer(num_streams, data.get());
+  Tuple tuple;
+  tuple.join_key = 7;
+  writer.Append(0, tuple);
+  writer.Finish();
+  return data;
+}
+
+TEST(ClusterConfigBuilderTest, ReplayTraceMustDecode) {
+  ClusterConfig::Builder builder;
+  builder.mutable_config().replay_trace =
+      std::make_shared<const std::string>("not a trace");
+  Status status = builder.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--replay-trace"), std::string::npos);
+}
+
+TEST(ClusterConfigBuilderTest, ReplayTraceMustMatchStreamCount) {
+  ClusterConfig::Builder builder;
+  builder.SetNumStreams(3);
+  builder.mutable_config().replay_trace = OneTupleTrace(4);
+  Status status = builder.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--replay-trace"), std::string::npos);
+  EXPECT_NE(status.message().find("--streams"), std::string::npos);
+
+  builder.mutable_config().replay_trace = OneTupleTrace(3);
+  EXPECT_TRUE(builder.Validate().ok());
 }
 
 }  // namespace

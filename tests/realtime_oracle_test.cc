@@ -124,6 +124,28 @@ TEST(RealtimeOracleTest, FreeRunMatchesVirtualRun) {
   ExpectMatchesVirtualOracle(config, options);
 }
 
+TEST(RealtimeOracleTest, RunResultMatchesRegistry) {
+  // The realtime twin of MetricsRegistryIntegrationTest's check
+  // (trace_determinism_test.cc): the spill-only run's storage counters
+  // and cleanup stats must read what the driver's registry holds.
+  ClusterConfig config = testing::SmallClusterConfig();
+  config.strategy = AdaptationStrategy::kSpillOnly;
+  config.spill.memory_threshold_bytes = 32 * kKiB;
+  config.workload.classes[0].tuple_range = 24000;
+  config.collect_results = false;
+  config.cleanup.collect_results = false;
+  RealtimeOptions options;
+  options.duration_sec = 2;
+  options.rate = 20000;
+  RealtimeDriver driver(config, options);
+  RunResult result = driver.Run();
+  // Cleanup must have read spilled segments, or the gauges stay zero on
+  // both sides.
+  ASSERT_GT(result.cleanup.segments_read, 0);
+  ASSERT_GT(result.cleanup.blocks_prefetched, 0);
+  testing::ExpectStorageAndCleanupMatchRegistry(result, driver.metrics());
+}
+
 TEST(RealtimeOracleTest, ReportsSustainedRates) {
   ClusterConfig config = testing::SmallClusterConfig();
   config.strategy = AdaptationStrategy::kNoAdaptation;

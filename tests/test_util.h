@@ -1,12 +1,17 @@
 #ifndef DCAPE_TESTS_TEST_UTIL_H_
 #define DCAPE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <map>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/taxonomy.h"
 #include "runtime/cluster.h"
 #include "runtime/cluster_config.h"
+#include "runtime/run_result.h"
 #include "tuple/tuple.h"
 
 namespace dcape {
@@ -71,6 +76,42 @@ inline std::vector<JoinResult> ReferenceResults(ClusterConfig config) {
   Cluster cluster(config);
   RunResult result = cluster.Run();
   return AllResults(result);
+}
+
+/// The registry is the single source of truth: a finished run's storage
+/// counters (per engine and summed) and its cleanup stats must read the
+/// same values as the registry's storage.* cells and cleanup.* gauges,
+/// whichever driver produced them.
+inline void ExpectStorageAndCleanupMatchRegistry(
+    const RunResult& result, const obs::MetricsRegistry& registry) {
+  StorageCounters sum;
+  for (size_t e = 0; e < result.engine_storage.size(); ++e) {
+    const int entity = static_cast<int>(e);
+    const StorageCounters& storage = result.engine_storage[e];
+    EXPECT_EQ(storage.segments_written,
+              registry.Value(obs::m::kSegmentsWritten, entity))
+        << "engine " << e;
+    EXPECT_EQ(storage.encoded_bytes,
+              registry.Value(obs::m::kEncodedBytes, entity))
+        << "engine " << e;
+    EXPECT_EQ(storage.partial_segments_written,
+              registry.Value(obs::m::kPartialSegmentsWritten, entity))
+        << "engine " << e;
+    sum.segments_written += storage.segments_written;
+    sum.encoded_bytes += storage.encoded_bytes;
+    sum.partial_segments_written += storage.partial_segments_written;
+  }
+  EXPECT_EQ(result.storage.segments_written, sum.segments_written);
+  EXPECT_EQ(result.storage.encoded_bytes, sum.encoded_bytes);
+  EXPECT_EQ(result.storage.partial_segments_written,
+            sum.partial_segments_written);
+
+  EXPECT_EQ(result.cleanup.peak_resident_bytes,
+            registry.Value(obs::m::kCleanupPeakResidentBytes));
+  EXPECT_EQ(result.cleanup.blocks_prefetched,
+            registry.Value(obs::m::kCleanupBlocksPrefetched));
+  EXPECT_EQ(result.cleanup.prefetch_stalls,
+            registry.Value(obs::m::kCleanupPrefetchStallTicks));
 }
 
 }  // namespace testing

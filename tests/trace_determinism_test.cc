@@ -127,6 +127,11 @@ TEST(MetricsRegistryIntegrationTest, RunResultMatchesRegistry) {
   EXPECT_EQ(result_tuples, tuples_processed);
   EXPECT_EQ(result.coordinator.relocations_started,
             registry.Value(obs::m::kRelocationsStarted));
+
+  // The run must spill and clean up, or the checks below compare zeros.
+  ASSERT_GT(result.storage.segments_written, 0);
+  ASSERT_GT(result.cleanup.blocks_prefetched, 0);
+  testing::ExpectStorageAndCleanupMatchRegistry(result, registry);
 }
 
 }  // namespace

@@ -23,6 +23,48 @@
 namespace dcape {
 namespace {
 
+/// Writes the files both drivers produce: the throughput/memory series
+/// with its storage-counter sidecar (--csv) and the recorded input
+/// (--record-trace). Returns false after reporting a failed write.
+bool WriteRunFiles(const ExperimentOptions& options, const RunResult& result) {
+  if (!options.csv_path.empty()) {
+    std::vector<const TimeSeries*> series = {&result.throughput};
+    for (const TimeSeries& m : result.engine_memory) series.push_back(&m);
+    Status status = WriteSeriesCsv(options.csv_path, series);
+    if (!status.ok()) {
+      std::cerr << status << "\n";
+      return false;
+    }
+    std::cout << "series written to " << options.csv_path << "\n";
+
+    // Storage-plane counters ride along as a sibling CSV.
+    std::string storage_path = options.csv_path;
+    const size_t dot = storage_path.rfind(".csv");
+    if (dot != std::string::npos && dot == storage_path.size() - 4) {
+      storage_path.resize(dot);
+    }
+    storage_path += ".storage.csv";
+    std::ofstream storage_out(storage_path);
+    storage_out << result.StorageCsv();
+    if (!storage_out) {
+      std::cerr << "cannot write " << storage_path << "\n";
+      return false;
+    }
+    std::cout << "storage counters written to " << storage_path << "\n";
+  }
+  if (!options.record_trace_path.empty()) {
+    Status status = WriteTraceFile(options.record_trace_path,
+                                   *options.cluster.record_trace);
+    if (!status.ok()) {
+      std::cerr << status << "\n";
+      return false;
+    }
+    std::cout << "trace (" << options.cluster.record_trace->size()
+              << " bytes) written to " << options.record_trace_path << "\n";
+  }
+  return true;
+}
+
 /// The --realtime path: run the wall-clock driver, print the sustained
 /// throughput + latency report, and (with --check-oracle) replay the
 /// identical input on the deterministic simulator and diff the outputs.
@@ -68,27 +110,7 @@ int RunRealtime(ExperimentOptions options) {
             << " threads=" << report.total_threads << " (engines "
             << report.engine_threads << ")\n";
   result.PrintSummary(std::cout);
-
-  if (!options.csv_path.empty()) {
-    std::vector<const TimeSeries*> series = {&result.throughput};
-    for (const TimeSeries& m : result.engine_memory) series.push_back(&m);
-    Status status = WriteSeriesCsv(options.csv_path, series);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "series written to " << options.csv_path << "\n";
-  }
-  if (!options.record_trace_path.empty()) {
-    Status status = WriteTraceFile(options.record_trace_path,
-                                   *options.cluster.record_trace);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "trace (" << options.cluster.record_trace->size()
-              << " bytes) written to " << options.record_trace_path << "\n";
-  }
+  if (!WriteRunFiles(options, result)) return 1;
 
   if (options.rt_check_oracle) {
     // Golden: the same query and workload on the virtual clock, without
@@ -154,6 +176,13 @@ int Run(const std::vector<std::string>& args) {
     }
     options.cluster.replay_trace =
         std::make_shared<const std::string>(*std::move(trace));
+    // Flag validation ran before the file was read; a corrupt trace or
+    // one with another stream count is rejected here.
+    Status valid = ClusterConfig::Builder(options.cluster).Validate();
+    if (!valid.ok()) {
+      std::cerr << valid.message() << "\n";
+      return 1;
+    }
   }
   if (!options.record_trace_path.empty()) {
     options.cluster.record_trace = std::make_shared<std::string>();
@@ -184,41 +213,7 @@ int Run(const std::vector<std::string>& args) {
                         std::max<int64_t>(1, minutes / 10));
   }
 
-  if (!options.csv_path.empty()) {
-    std::vector<const TimeSeries*> series = {&result.throughput};
-    for (const TimeSeries& m : result.engine_memory) series.push_back(&m);
-    Status status = WriteSeriesCsv(options.csv_path, series);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "series written to " << options.csv_path << "\n";
-
-    // Storage-plane counters ride along as a sibling CSV.
-    std::string storage_path = options.csv_path;
-    const size_t dot = storage_path.rfind(".csv");
-    if (dot != std::string::npos && dot == storage_path.size() - 4) {
-      storage_path.resize(dot);
-    }
-    storage_path += ".storage.csv";
-    std::ofstream storage_out(storage_path);
-    storage_out << result.StorageCsv();
-    if (!storage_out) {
-      std::cerr << "cannot write " << storage_path << "\n";
-      return 1;
-    }
-    std::cout << "storage counters written to " << storage_path << "\n";
-  }
-  if (!options.record_trace_path.empty()) {
-    Status status = WriteTraceFile(options.record_trace_path,
-                                   *options.cluster.record_trace);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "trace (" << options.cluster.record_trace->size()
-              << " bytes) written to " << options.record_trace_path << "\n";
-  }
+  if (!WriteRunFiles(options, result)) return 1;
   if (!options.trace_out_path.empty()) {
     const obs::Tracer* tracer = cluster.tracer();
     std::ofstream trace_out(options.trace_out_path);
