@@ -1,6 +1,7 @@
 #include "cleanup/block_reader.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -316,11 +317,10 @@ StatusOr<bool> MemoryGenCursor::Advance() {
   ReleaseMembers();
   if (next_ == keys_.size()) return false;
   key_ = keys_[next_++];
-  const auto& table = group_->TableForStream(stream_);
-  const auto it = table.find(key_);
-  DCAPE_CHECK(it != table.end());
-  members_.reserve(it->second.size());
-  for (const Tuple& t : it->second) {
+  const std::span<const Tuple> tuples = group_->KeyTuples(key_, stream_);
+  DCAPE_CHECK(!tuples.empty());
+  members_.reserve(tuples.size());
+  for (const Tuple& t : tuples) {
     members_.push_back(MemberRef{t.seq, t.value, t.category, t.timestamp});
   }
   ChargeMembers();

@@ -1,10 +1,10 @@
 #include "cleanup/cleanup.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,7 +53,8 @@ Generation FromGroup(const PartitionGroup& group, EngineId home,
   gen.keys.resize(static_cast<size_t>(group.num_streams()));
   for (StreamId s = 0; s < group.num_streams(); ++s) {
     auto& out = gen.keys[static_cast<size_t>(s)];
-    for (const auto& [key, tuples] : group.TableForStream(s)) {
+    for (JoinKey key : group.SortedKeysForStream(s)) {
+      const std::span<const Tuple> tuples = group.KeyTuples(key, s);
       std::vector<MemberRef>& refs = out[key];
       refs.reserve(tuples.size());
       for (const Tuple& t : tuples) {
@@ -77,6 +78,26 @@ struct PartitionOutcome {
   int64_t produced = 0;
   std::vector<JoinResult> results;
 };
+
+/// Concatenates the partitions' retained results in partition order.
+/// Results are stored by value (inline member seqs), so each
+/// partition's buffer is released as soon as it is copied out rather
+/// than living on beside the concatenation.
+std::vector<JoinResult> GatherResults(
+    std::vector<PartitionOutcome>* outcomes) {
+  size_t total = 0;
+  for (const PartitionOutcome& outcome : *outcomes) {
+    total += outcome.results.size();
+  }
+  std::vector<JoinResult> results;
+  results.reserve(total);
+  for (PartitionOutcome& outcome : *outcomes) {
+    results.insert(results.end(), outcome.results.begin(),
+                   outcome.results.end());
+    std::vector<JoinResult>().swap(outcome.results);
+  }
+  return results;
+}
 
 /// Tasks (2)+(3) of §3 for one partition: order its generations,
 /// coalesce eviction fragments, pick the cleanup home, and emit the
@@ -713,7 +734,7 @@ CleanupProcessor::CleanupProcessor(const CleanupConfig& config,
     : config_(config), num_streams_(num_streams) {
   DCAPE_CHECK_GE(num_streams, 2);
   // Subset expansion enumerates 2^m masks; keep m sane.
-  DCAPE_CHECK_LE(num_streams, 16);
+  DCAPE_CHECK_LE(num_streams, kMaxStreams);
   DCAPE_CHECK_GT(config_.results_per_tick, 0);
   DCAPE_CHECK_GT(config_.network_bytes_per_tick, 0);
   DCAPE_CHECK_GT(config_.block_bytes, 0);
@@ -818,12 +839,8 @@ StatusOr<CleanupStats> CleanupProcessor::RunMaterialize(
     }
     stats.result_count += outcome.produced;
     if (outcome.produced > 0) stats.partitions_cleaned += 1;
-    if (config_.collect_results) {
-      stats.results.insert(stats.results.end(),
-                           std::make_move_iterator(outcome.results.begin()),
-                           std::make_move_iterator(outcome.results.end()));
-    }
   }
+  if (config_.collect_results) stats.results = GatherResults(&outcomes);
 
   for (Tick t : stats.engine_ticks) {
     stats.total_ticks = std::max(stats.total_ticks, t);
@@ -933,12 +950,8 @@ StatusOr<CleanupStats> CleanupProcessor::RunStream(
     }
     stats.result_count += outcome.produced;
     if (outcome.produced > 0) stats.partitions_cleaned += 1;
-    if (config_.collect_results) {
-      stats.results.insert(stats.results.end(),
-                           std::make_move_iterator(outcome.results.begin()),
-                           std::make_move_iterator(outcome.results.end()));
-    }
   }
+  if (config_.collect_results) stats.results = GatherResults(&outcomes);
 
   stats.blocks_prefetched = io_stats.issued.load(std::memory_order_relaxed);
   stats.blocks_completed = io_stats.completed.load(std::memory_order_relaxed);

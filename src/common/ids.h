@@ -9,6 +9,12 @@ namespace dcape {
 /// three-way join has streams 0, 1, 2.
 using StreamId = int32_t;
 
+/// Most input streams one m-way join may have. Cluster validation and
+/// both segment decoders enforce it; JoinResult stores its member seqs
+/// inline in an array of this size, and cleanup enumerates 2^m stream
+/// subsets.
+constexpr int kMaxStreams = 16;
+
 /// Identifier of one of the `n` hash partitions produced by the split
 /// operators (0-based). `n` is much larger than the machine count so that
 /// adaptation never re-hashes (§2 of the paper; e.g. 500 partitions over

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/ids.h"
 #include "stream/trace.h"
 
 namespace dcape {
@@ -213,8 +215,9 @@ Status ClusterConfig::Builder::Validate() const {
   if (c.num_threads < 1 || c.num_threads > 256) {
     return Status::InvalidArgument("--threads must be in [1, 256]");
   }
-  if (c.workload.num_streams < 2 || c.workload.num_streams > 16) {
-    return Status::InvalidArgument("--streams must be in [2, 16]");
+  if (c.workload.num_streams < 2 || c.workload.num_streams > kMaxStreams) {
+    return Status::InvalidArgument("--streams must be in [2, " +
+                                   std::to_string(kMaxStreams) + "]");
   }
   if (c.workload.num_partitions < 1) {
     return Status::InvalidArgument("--partitions must be >= 1");

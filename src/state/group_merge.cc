@@ -1,6 +1,8 @@
 #include "state/group_merge.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/check.h"
 
@@ -14,41 +16,33 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
   DCAPE_CHECK_EQ(older.partition(), newer.partition());
   DCAPE_CHECK_EQ(older.num_streams(), newer.num_streams());
   const int m = older.num_streams();
-  DCAPE_CHECK_LE(m, 16);
+  DCAPE_CHECK_LE(m, kMaxStreams);
 
   int64_t produced = 0;
   const uint32_t full = (1u << m) - 1;
-  // Mask bit s set → stream s's member comes from `newer`.
-  for (uint32_t mask = 1; mask < full; ++mask) {
-    // Iterate the keys of the smallest source table among the mask's
-    // designated sides.
-    int seed_stream = 0;
-    size_t seed_size = SIZE_MAX;
-    for (int s = 0; s < m; ++s) {
-      const auto& table = ((mask >> s) & 1u) ? newer.TableForStream(s)
-                                             : older.TableForStream(s);
-      if (table.size() < seed_size) {
-        seed_size = table.size();
-        seed_stream = s;
+  // A cross result takes members from both generations, so only keys both
+  // hold can produce one: walk the smaller key set. Keys go ascending,
+  // which makes the result sequence a pure function of the two states
+  // (restore sends it as is), not of either group's insertion history.
+  const PartitionGroup& seed =
+      older.DistinctKeyCount() <= newer.DistinctKeyCount() ? older : newer;
+  const PartitionGroup* generations[2] = {&older, &newer};
+  for (JoinKey key : seed.SortedKeys()) {
+    // sides[g][s] = generation g's stream-s tuples with this key.
+    std::array<std::array<std::span<const Tuple>, kMaxStreams>, 2> sides;
+    for (size_t g = 0; g < 2; ++g) {
+      for (int s = 0; s < m; ++s) {
+        sides[g][static_cast<size_t>(s)] = generations[g]->KeyTuples(key, s);
       }
     }
-    const auto& seed_table = ((mask >> seed_stream) & 1u)
-                                 ? newer.TableForStream(seed_stream)
-                                 : older.TableForStream(seed_stream);
-
-    for (const auto& [key, seed_tuples] : seed_table) {
-      std::vector<const std::vector<Tuple>*> lists(static_cast<size_t>(m),
-                                                   nullptr);
+    // Mask bit s set → stream s's member comes from `newer`.
+    for (uint32_t mask = 1; mask < full; ++mask) {
+      std::array<std::span<const Tuple>, kMaxStreams> lists;
       bool all_present = true;
       for (int s = 0; s < m && all_present; ++s) {
-        const auto& table = ((mask >> s) & 1u) ? newer.TableForStream(s)
-                                               : older.TableForStream(s);
-        auto it = table.find(key);
-        if (it == table.end() || it->second.empty()) {
-          all_present = false;
-        } else {
-          lists[static_cast<size_t>(s)] = &it->second;
-        }
+        const size_t i = static_cast<size_t>(s);
+        lists[i] = sides[(mask >> s) & 1u][i];
+        all_present = !lists[i].empty();
       }
       if (!all_present) continue;
 
@@ -56,7 +50,7 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
       result.partition = older.partition();
       result.join_key = key;
       result.member_seqs.assign(static_cast<size_t>(m), 0);
-      std::vector<size_t> cursor(static_cast<size_t>(m), 0);
+      std::array<size_t, kMaxStreams> cursor{};
       while (true) {
         int64_t agg = 0;
         bool first_member = true;
@@ -64,9 +58,9 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
         Tick max_ts = 0;
         bool first_ts = true;
         for (int s = 0; s < m; ++s) {
-          const Tuple& member =
-              (*lists[static_cast<size_t>(s)])[cursor[static_cast<size_t>(s)]];
-          result.member_seqs[static_cast<size_t>(s)] = member.seq;
+          const size_t i = static_cast<size_t>(s);
+          const Tuple& member = lists[i][cursor[i]];
+          result.member_seqs[i] = member.seq;
           if (first_ts) {
             min_ts = max_ts = member.timestamp;
             first_ts = false;
@@ -93,7 +87,7 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
         int s = m - 1;
         for (; s >= 0; --s) {
           size_t& c = cursor[static_cast<size_t>(s)];
-          if (++c < lists[static_cast<size_t>(s)]->size()) break;
+          if (++c < lists[static_cast<size_t>(s)].size()) break;
           c = 0;
         }
         if (s < 0) break;

@@ -15,7 +15,7 @@ namespace dcape {
 /// generations `older` and `newer` of the same partition — i.e.
 /// Π(older ∪ newer) − Π(older) − Π(newer) — with the optional projection
 /// applied. Returns the number of results (appended to `results` when
-/// non-null).
+/// non-null, in ascending join-key order).
 ///
 /// This is the building block of *online state restore* (§3 of the paper:
 /// the state cleanup "can be performed at any time when memory becomes

@@ -1,10 +1,10 @@
 #include "state/partition_group.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <utility>
 
 #include "common/check.h"
@@ -22,7 +22,18 @@ constexpr char kGroupMagic[4] = {0x44, 0x43, 0x50, static_cast<char>(0xB2)};
 PartitionGroup::PartitionGroup(PartitionId partition, int num_streams)
     : partition_(partition), num_streams_(num_streams) {
   DCAPE_CHECK_GE(num_streams, 2);
-  tables_.resize(static_cast<size_t>(num_streams));
+  DCAPE_CHECK_LE(num_streams, kMaxStreams);
+}
+
+PartitionGroup::KeyEntry& PartitionGroup::EntryFor(JoinKey key) {
+  return table_.try_emplace(key, num_streams_).first->second;
+}
+
+void PartitionGroup::Append(KeyEntry* entry, Tuple&& tuple) {
+  bytes_ += tuple.ByteSize();
+  tuple_count_ += 1;
+  entry->streams[static_cast<size_t>(tuple.stream_id)].push_back(
+      std::move(tuple));
 }
 
 int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
@@ -31,46 +42,39 @@ int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
                                        Tick window_ticks) {
   DCAPE_CHECK_GE(tuple.stream_id, 0);
   DCAPE_CHECK_LT(tuple.stream_id, num_streams_);
+  // The arrival's one hash lookup: the key's entry serves the probe, the
+  // insert and the access clock.
+  KeyEntry& entry = EntryFor(tuple.join_key);
+  const int own = tuple.stream_id;
 
-  // Collect the match lists of every other stream; an m-way result needs
-  // a partner from each of them. The scratch vectors are members: assign
-  // reuses their capacity, so steady-state probes never allocate.
-  std::vector<const std::vector<Tuple>*>& matches = probe_matches_;
-  matches.assign(static_cast<size_t>(num_streams_), nullptr);
+  // An m-way result needs a partner from every other stream.
   bool all_matched = true;
-  for (int s = 0; s < num_streams_; ++s) {
-    if (s == tuple.stream_id) continue;
-    auto it = tables_[static_cast<size_t>(s)].find(tuple.join_key);
-    if (it == tables_[static_cast<size_t>(s)].end() || it->second.empty()) {
-      all_matched = false;
-      break;
-    }
-    matches[static_cast<size_t>(s)] = &it->second;
+  for (int s = 0; s < num_streams_ && all_matched; ++s) {
+    all_matched = s == own || !entry.streams[static_cast<size_t>(s)].empty();
   }
 
   int64_t produced = 0;
   if (all_matched) {
-    // Enumerate the cross product of the other streams' match lists.
+    // Enumerate the cross product of the other streams' tuples. The
+    // result (inline member seqs) and the odometer cursor live on the
+    // stack, so steady-state probes never allocate.
     JoinResult result;
     result.partition = partition_;
     result.join_key = tuple.join_key;
     result.member_seqs.assign(static_cast<size_t>(num_streams_), 0);
-    result.member_seqs[static_cast<size_t>(tuple.stream_id)] = tuple.seq;
+    result.member_seqs[static_cast<size_t>(own)] = tuple.seq;
 
-    std::vector<size_t>& cursor = probe_cursor_;
-    cursor.assign(static_cast<size_t>(num_streams_), 0);
+    std::array<size_t, kMaxStreams> cursor{};
     while (true) {
       int64_t agg = 0;
       bool first_member = true;
       Tick min_ts = tuple.timestamp;
       Tick max_ts = tuple.timestamp;
       for (int s = 0; s < num_streams_; ++s) {
+        const size_t i = static_cast<size_t>(s);
         const Tuple& member =
-            (s == tuple.stream_id)
-                ? tuple
-                : (*matches[static_cast<size_t>(s)])[cursor[
-                      static_cast<size_t>(s)]];
-        result.member_seqs[static_cast<size_t>(s)] = member.seq;
+            (s == own) ? tuple : entry.streams[i][cursor[i]];
+        result.member_seqs[i] = member.seq;
         min_ts = std::min(min_ts, member.timestamp);
         max_ts = std::max(max_ts, member.timestamp);
         if (projection != nullptr) {
@@ -91,17 +95,17 @@ int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
       // Odometer increment over the non-arriving streams.
       int s = num_streams_ - 1;
       for (; s >= 0; --s) {
-        if (s == tuple.stream_id) continue;
+        if (s == own) continue;
         size_t& c = cursor[static_cast<size_t>(s)];
-        if (++c < matches[static_cast<size_t>(s)]->size()) break;
+        if (++c < entry.streams[static_cast<size_t>(s)].size()) break;
         c = 0;
       }
       if (s < 0) break;
     }
   }
 
-  InsertOnly(tuple);
-  last_touch_[tuple.join_key] = ++access_clock_;
+  Append(&entry, Tuple(tuple));
+  entry.last_touch = ++access_clock_;
   outputs_ += produced;
   return produced;
 }
@@ -111,126 +115,94 @@ int64_t PartitionGroup::EvictBefore(Tick cutoff, PartitionGroup* evicted) {
   DCAPE_CHECK_EQ(evicted->partition(), partition_);
   DCAPE_CHECK_EQ(evicted->num_streams(), num_streams_);
   int64_t moved = 0;
-  for (int s = 0; s < num_streams_; ++s) {
-    auto& table = tables_[static_cast<size_t>(s)];
-    for (auto it = table.begin(); it != table.end();) {
-      std::vector<Tuple>& tuples = it->second;
+  for (auto it = table_.begin(); it != table_.end();) {
+    KeyEntry* expired = nullptr;
+    bool drained = true;
+    for (std::vector<Tuple>& tuples : it->second.streams) {
       // In-place stable compaction: expired tuples move to `evicted`,
-      // survivors slide left. No temporary vector per bucket.
+      // survivors slide left. No temporary vector per key.
       size_t write = 0;
       for (size_t read = 0; read < tuples.size(); ++read) {
         Tuple& t = tuples[read];
         if (t.timestamp < cutoff) {
+          if (expired == nullptr) expired = &evicted->EntryFor(it->first);
           bytes_ -= t.ByteSize();
           tuple_count_ -= 1;
           ++moved;
-          evicted->InsertOnly(std::move(t));
+          evicted->Append(expired, std::move(t));
         } else {
           if (write != read) tuples[write] = std::move(t);
           ++write;
         }
       }
-      if (write == 0) {
-        it = table.erase(it);
-      } else {
-        tuples.resize(write);
-        ++it;
-      }
+      tuples.resize(write);
+      drained = drained && write == 0;
     }
-  }
-  if (moved > 0 && !last_touch_.empty()) {
-    // Prune access-clock entries for keys that vanished from every
-    // stream, so the clock map tracks the live key set.
-    for (auto it = last_touch_.begin(); it != last_touch_.end();) {
-      bool present = false;
-      for (int s = 0; s < num_streams_ && !present; ++s) {
-        present = tables_[static_cast<size_t>(s)].count(it->first) > 0;
-      }
-      it = present ? std::next(it) : last_touch_.erase(it);
-    }
+    // A key with no tuples left drops out, access clock included.
+    it = drained ? table_.erase(it) : std::next(it);
   }
   return moved;
 }
 
 void PartitionGroup::InsertOnly(const Tuple& tuple) {
-  DCAPE_CHECK_GE(tuple.stream_id, 0);
-  DCAPE_CHECK_LT(tuple.stream_id, num_streams_);
-  bytes_ += tuple.ByteSize();
-  tuple_count_ += 1;
-  tables_[static_cast<size_t>(tuple.stream_id)][tuple.join_key].push_back(
-      tuple);
+  InsertOnly(Tuple(tuple));
 }
 
 void PartitionGroup::InsertOnly(Tuple&& tuple) {
   DCAPE_CHECK_GE(tuple.stream_id, 0);
   DCAPE_CHECK_LT(tuple.stream_id, num_streams_);
-  bytes_ += tuple.ByteSize();
-  tuple_count_ += 1;
-  auto& bucket = tables_[static_cast<size_t>(tuple.stream_id)][tuple.join_key];
-  bucket.push_back(std::move(tuple));
+  Append(&EntryFor(tuple.join_key), std::move(tuple));
+}
+
+void PartitionGroup::Absorb(KeyEntry* into, KeyEntry* from) {
+  for (size_t s = 0; s < into->streams.size(); ++s) {
+    std::vector<Tuple>& dst = into->streams[s];
+    std::vector<Tuple>& src = from->streams[s];
+    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+               std::make_move_iterator(src.end()));
+  }
+  into->last_touch = std::max(into->last_touch, from->last_touch);
 }
 
 void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   DCAPE_CHECK_EQ(partition_, other.partition_);
   DCAPE_CHECK_EQ(num_streams_, other.num_streams_);
-  for (int s = 0; s < num_streams_; ++s) {
-    auto& dst = tables_[static_cast<size_t>(s)];
-    for (auto& [key, tuples] : other.tables_[static_cast<size_t>(s)]) {
-      auto& bucket = dst[key];
-      bucket.insert(bucket.end(), std::make_move_iterator(tuples.begin()),
-                    std::make_move_iterator(tuples.end()));
-    }
+  // Keys only `other` holds move over as whole entries; what stays
+  // behind in `other` are the shared keys, whose tuples append behind
+  // this group's. Access clocks merge by max: both inputs are
+  // deterministic, so the merged coldness ordering is too. A
+  // deserialized generation has every clock at 0 and ranks coldest,
+  // which is the right prior.
+  table_.merge(other.table_);
+  for (auto& [key, theirs] : other.table_) {
+    Absorb(&table_.find(key)->second, &theirs);
   }
   bytes_ += other.bytes_;
   tuple_count_ += other.tuple_count_;
   outputs_ += other.outputs_;
-  // Access clocks merge by max: both inputs are deterministic, so the
-  // merged coldness ordering is too. A deserialized generation carries
-  // no clock entries and ranks coldest, which is the right prior.
-  for (const auto& [key, touch] : other.last_touch_) {
-    int64_t& mine = last_touch_[key];
-    mine = std::max(mine, touch);
-  }
   access_clock_ = std::max(access_clock_, other.access_clock_);
-  other.tables_.clear();
-  other.last_touch_.clear();
+  other.table_.clear();
   other.bytes_ = 0;
   other.tuple_count_ = 0;
   other.outputs_ = 0;
   other.access_clock_ = 0;
 }
 
-int64_t PartitionGroup::MoveKeyTo(JoinKey key, PartitionGroup* dst) {
+int64_t PartitionGroup::MoveEntryTo(Table::iterator it, PartitionGroup* dst) {
   int64_t moved_bytes = 0;
-  for (int s = 0; s < num_streams_; ++s) {
-    auto& table = tables_[static_cast<size_t>(s)];
-    auto it = table.find(key);
-    if (it == table.end()) continue;
-    int64_t bucket_bytes = 0;
-    for (const Tuple& t : it->second) bucket_bytes += t.ByteSize();
-    const int64_t bucket_tuples = static_cast<int64_t>(it->second.size());
-    auto& dst_bucket = dst->tables_[static_cast<size_t>(s)][key];
-    if (dst_bucket.empty()) {
-      dst_bucket = std::move(it->second);
-    } else {
-      dst_bucket.insert(dst_bucket.end(),
-                        std::make_move_iterator(it->second.begin()),
-                        std::make_move_iterator(it->second.end()));
-    }
-    table.erase(it);
-    bytes_ -= bucket_bytes;
-    tuple_count_ -= bucket_tuples;
-    dst->bytes_ += bucket_bytes;
-    dst->tuple_count_ += bucket_tuples;
-    moved_bytes += bucket_bytes;
+  int64_t moved_tuples = 0;
+  for (const std::vector<Tuple>& tuples : it->second.streams) {
+    for (const Tuple& t : tuples) moved_bytes += t.ByteSize();
+    moved_tuples += static_cast<int64_t>(tuples.size());
   }
-  auto touch = last_touch_.find(key);
-  if (touch != last_touch_.end()) {
-    int64_t& dst_touch = dst->last_touch_[key];
-    dst_touch = std::max(dst_touch, touch->second);
-    dst->access_clock_ = std::max(dst->access_clock_, touch->second);
-    last_touch_.erase(touch);
-  }
+  const int64_t touch = it->second.last_touch;
+  auto placed = dst->table_.insert(table_.extract(it));
+  if (!placed.inserted) Absorb(&placed.position->second, &placed.node.mapped());
+  bytes_ -= moved_bytes;
+  tuple_count_ -= moved_tuples;
+  dst->bytes_ += moved_bytes;
+  dst->tuple_count_ += moved_tuples;
+  dst->access_clock_ = std::max(dst->access_clock_, touch);
   return moved_bytes;
 }
 
@@ -239,47 +211,29 @@ int64_t PartitionGroup::SplitColdest(int64_t target_bytes,
   DCAPE_CHECK(cold != nullptr);
   DCAPE_CHECK_EQ(cold->partition(), partition_);
   DCAPE_CHECK_EQ(cold->num_streams(), num_streams_);
-  if (target_bytes <= 0) return 0;
+  if (target_bytes <= 0 || table_.size() < 2) return 0;
 
-  // Per-key byte totals across all streams, in a sorted map so the
-  // candidate list is independent of hash-table iteration order.
-  std::map<JoinKey, int64_t> key_bytes;
-  for (int s = 0; s < num_streams_; ++s) {
-    // dcape-lint: allow(unordered-net) — accumulation into a sorted map
-    // is order-insensitive; emission below is (last_touch, key)-sorted.
-    for (const auto& [key, tuples] : tables_[static_cast<size_t>(s)]) {
-      int64_t b = 0;
-      for (const Tuple& t : tuples) b += t.ByteSize();
-      key_bytes[key] += b;
-    }
-  }
-  if (key_bytes.size() < 2) return 0;
-
-  struct Candidate {
-    int64_t last_touch;
-    JoinKey key;
-    int64_t bytes;
-  };
-  std::vector<Candidate> order;
-  order.reserve(key_bytes.size());
-  for (const auto& [key, b] : key_bytes) {
-    auto it = last_touch_.find(key);
-    order.push_back(
-        Candidate{it == last_touch_.end() ? 0 : it->second, key, b});
+  // Coldest first: ascending (last_touch, key) is a total order over the
+  // entries, so the move order does not depend on hash order. Moving an
+  // entry invalidates no other entry's iterator.
+  std::vector<Table::iterator> order;
+  order.reserve(table_.size());
+  for (auto it = table_.begin(); it != table_.end(); ++it) {
+    order.push_back(it);
   }
   std::sort(order.begin(), order.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.last_touch != b.last_touch) {
-                return a.last_touch < b.last_touch;
+            [](Table::iterator a, Table::iterator b) {
+              if (a->second.last_touch != b->second.last_touch) {
+                return a->second.last_touch < b->second.last_touch;
               }
-              return a.key < b.key;
+              return a->first < b->first;
             });
 
   int64_t moved = 0;
   // The hottest key (last candidate) never moves: the residue must stay
   // probe-able in memory.
   for (size_t i = 0; i + 1 < order.size() && moved < target_bytes; ++i) {
-    moved += MoveKeyTo(order[i].key, cold);
+    moved += MoveEntryTo(order[i], cold);
   }
   return moved;
 }
@@ -288,35 +242,14 @@ PartitionGroup PartitionGroup::SplitBySecondaryHashBit(int bit) {
   DCAPE_CHECK_GE(bit, 0);
   DCAPE_CHECK_LT(bit, 64);
   PartitionGroup high(partition_, num_streams_);
-  // Sorted key list first: MoveKeyTo mutates the tables, and the move
-  // order must not depend on hash-table iteration.
-  std::vector<JoinKey> keys;
-  for (int s = 0; s < num_streams_; ++s) {
-    // dcape-lint: allow(unordered-net) — keys are sorted and deduplicated
-    // before any state moves.
-    for (const auto& [key, tuples] : tables_[static_cast<size_t>(s)]) {
-      keys.push_back(key);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  for (JoinKey key : keys) {
-    if ((SecondaryKeyHash(key) >> bit) & 1ULL) MoveKeyTo(key, &high);
+  // Whole entries move into a fresh group, so the visiting order decides
+  // nothing about either side's state.
+  for (auto it = table_.begin(); it != table_.end();) {
+    const auto next = std::next(it);
+    if ((SecondaryKeyHash(it->first) >> bit) & 1ULL) MoveEntryTo(it, &high);
+    it = next;
   }
   return high;
-}
-
-int64_t PartitionGroup::DistinctKeyCount() const {
-  std::vector<JoinKey> keys;
-  for (int s = 0; s < num_streams_; ++s) {
-    // dcape-lint: allow(unordered-net) — counting after sort+unique.
-    for (const auto& [key, tuples] : tables_[static_cast<size_t>(s)]) {
-      keys.push_back(key);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return static_cast<int64_t>(keys.size());
 }
 
 int64_t PartitionGroup::SerializedByteSize() const {
@@ -327,66 +260,67 @@ int64_t PartitionGroup::SerializedByteSize() const {
   return 16 + 8 * static_cast<int64_t>(num_streams_) + bytes_;
 }
 
-namespace {
-
-/// The hash tables' buckets in ascending key order. Serialization must
-/// not follow hash-iteration order: it depends on the standard
-/// library's table layout and on the group's insertion history, so the
-/// same logical state would encode to different bytes on the spill
-/// sender and on a receiver that merged it — blobs would be neither
-/// canonical nor comparable across builds. Collecting into a sorted
-/// vector makes the encoding a pure function of the state.
-std::vector<const std::pair<const JoinKey, std::vector<Tuple>>*>
-SortedBuckets(const std::unordered_map<JoinKey, std::vector<Tuple>>& table) {
-  std::vector<const std::pair<const JoinKey, std::vector<Tuple>>*> buckets;
-  buckets.reserve(table.size());
+std::vector<const PartitionGroup::Table::value_type*>
+PartitionGroup::SortedEntries() const {
+  std::vector<const Table::value_type*> entries;
+  entries.reserve(table_.size());
   // dcape-lint: allow(unordered-net) — iteration order is erased by the
-  // sort below; emission is key-sorted, not hash-ordered.
-  for (const auto& entry : table) buckets.push_back(&entry);
-  std::sort(buckets.begin(), buckets.end(),
+  // sort below; readers walk keys ascending, not hash-ordered.
+  for (const auto& entry : table_) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
-  return buckets;
+  return entries;
 }
-
-}  // namespace
 
 void PartitionGroup::Serialize(std::string* out, SegmentFormat format) const {
   out->reserve(out->size() + static_cast<size_t>(SerializedByteSize()));
   ByteWriter writer(out);
+  // Each stream's section: its tuples in (key, arrival) order. Keys go
+  // ascending, never in hash order: that depends on the standard
+  // library's table layout and on the group's insertion history, so the
+  // same logical state would encode to different bytes on the spill
+  // sender and on a receiver that merged it. Sorting makes the blob a
+  // pure function of the state.
+  const std::vector<const Table::value_type*> entries = SortedEntries();
   if (format == SegmentFormat::kV1) {
     writer.PutI32(partition_);
     writer.PutI32(num_streams_);
     writer.PutI64(outputs_);
-    for (int s = 0; s < num_streams_; ++s) {
-      const auto buckets = SortedBuckets(tables_[static_cast<size_t>(s)]);
+    for (size_t s = 0; s < static_cast<size_t>(num_streams_); ++s) {
       int64_t stream_tuples = 0;
-      for (const auto* bucket : buckets) {
-        stream_tuples += static_cast<int64_t>(bucket->second.size());
+      for (const auto* entry : entries) {
+        stream_tuples += static_cast<int64_t>(entry->second.streams[s].size());
       }
       writer.PutI64(stream_tuples);
-      for (const auto* bucket : buckets) {
-        for (const Tuple& t : bucket->second) EncodeTuple(t, out);
+      for (const auto* entry : entries) {
+        for (const Tuple& t : entry->second.streams[s]) EncodeTuple(t, out);
       }
     }
     return;
   }
   // v2: the stream id is implied by the section and the join key is
-  // written once per bucket run; seq and timestamp delta-encode within
-  // the run (arrival order makes the deltas small non-negative values).
+  // written once per run (one key's tuples of the section); seq and
+  // timestamp delta-encode within the run (arrival order makes the
+  // deltas small non-negative values).
   out->append(kGroupMagic, 4);
   writer.PutU8(static_cast<uint8_t>(SegmentFormat::kV2));
   writer.PutVarint(static_cast<uint64_t>(partition_));
   writer.PutVarint(static_cast<uint64_t>(num_streams_));
   writer.PutZigzag(outputs_);
-  for (int s = 0; s < num_streams_; ++s) {
-    const auto buckets = SortedBuckets(tables_[static_cast<size_t>(s)]);
-    writer.PutVarint(buckets.size());
-    for (const auto* bucket : buckets) {
-      writer.PutZigzag(bucket->first);
-      writer.PutVarint(bucket->second.size());
+  for (size_t s = 0; s < static_cast<size_t>(num_streams_); ++s) {
+    uint64_t runs = 0;
+    for (const auto* entry : entries) {
+      runs += entry->second.streams[s].empty() ? 0 : 1;
+    }
+    writer.PutVarint(runs);
+    for (const auto* entry : entries) {
+      const std::vector<Tuple>& run = entry->second.streams[s];
+      if (run.empty()) continue;
+      writer.PutZigzag(entry->first);
+      writer.PutVarint(run.size());
       int64_t prev_seq = 0;
       Tick prev_ts = 0;
-      for (const Tuple& t : bucket->second) {
+      for (const Tuple& t : run) {
         writer.PutZigzag(t.seq - prev_seq);
         writer.PutZigzag(t.timestamp - prev_ts);
         writer.PutZigzag(t.value);
@@ -402,9 +336,10 @@ void PartitionGroup::Serialize(std::string* out, SegmentFormat format) const {
 namespace {
 
 StatusOr<int32_t> CheckedStreamCount(int64_t num_streams) {
-  // Bound the stream count before allocating tables: adversarial or
-  // corrupt input must fail with a Status, not exhaust memory.
-  if (num_streams < 2 || num_streams > 1024) {
+  // Bound the stream count before building the group: adversarial or
+  // corrupt input must fail with a Status, not abort or overrun the
+  // inline member seqs of the results it would join into.
+  if (num_streams < 2 || num_streams > kMaxStreams) {
     return Status::InvalidArgument(
         "partition group stream count out of range: " +
         std::to_string(num_streams));
@@ -444,6 +379,9 @@ StatusOr<PartitionGroup> PartitionGroup::Deserialize(std::string_view data) {
         if (run_length > data.size()) {
           return Status::InvalidArgument("run length exceeds input size");
         }
+        // One lookup per run: the entry is created with the run's first
+        // tuple, so an empty run leaves no entry behind.
+        KeyEntry* entry = nullptr;
         int64_t prev_seq = 0;
         Tick prev_ts = 0;
         for (uint64_t i = 0; i < run_length; ++i) {
@@ -459,7 +397,8 @@ StatusOr<PartitionGroup> PartitionGroup::Deserialize(std::string_view data) {
           DCAPE_ASSIGN_OR_RETURN(t.payload, reader.GetVString());
           prev_seq = t.seq;
           prev_ts = t.timestamp;
-          group.InsertOnly(std::move(t));
+          if (entry == nullptr) entry = &group.EntryFor(key);
+          group.Append(entry, std::move(t));
         }
       }
     }
@@ -492,11 +431,14 @@ StatusOr<PartitionGroup> PartitionGroup::Deserialize(std::string_view data) {
   return group;
 }
 
-const std::unordered_map<JoinKey, std::vector<Tuple>>&
-PartitionGroup::TableForStream(StreamId stream) const {
-  DCAPE_CHECK_GE(stream, 0);
-  DCAPE_CHECK_LT(stream, num_streams_);
-  return tables_[static_cast<size_t>(stream)];
+std::vector<JoinKey> PartitionGroup::SortedKeys() const {
+  std::vector<JoinKey> keys;
+  keys.reserve(table_.size());
+  // dcape-lint: allow(unordered-net) — iteration order is erased by the
+  // sort below.
+  for (const auto& [key, entry] : table_) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 std::vector<JoinKey> PartitionGroup::SortedKeysForStream(
@@ -504,13 +446,24 @@ std::vector<JoinKey> PartitionGroup::SortedKeysForStream(
   DCAPE_CHECK_GE(stream, 0);
   DCAPE_CHECK_LT(stream, num_streams_);
   std::vector<JoinKey> keys;
-  const auto& table = tables_[static_cast<size_t>(stream)];
-  keys.reserve(table.size());
   // dcape-lint: allow(unordered-net) — iteration order is erased by the
   // sort below; the cursor walks keys ascending, not hash-ordered.
-  for (const auto& [key, tuples] : table) keys.push_back(key);
+  for (const auto& [key, entry] : table_) {
+    if (!entry.streams[static_cast<size_t>(stream)].empty()) {
+      keys.push_back(key);
+    }
+  }
   std::sort(keys.begin(), keys.end());
   return keys;
+}
+
+std::span<const Tuple> PartitionGroup::KeyTuples(JoinKey key,
+                                                 StreamId stream) const {
+  DCAPE_CHECK_GE(stream, 0);
+  DCAPE_CHECK_LT(stream, num_streams_);
+  const auto it = table_.find(key);
+  if (it == table_.end()) return {};
+  return it->second.streams[static_cast<size_t>(stream)];
 }
 
 }  // namespace dcape

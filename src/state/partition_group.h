@@ -2,6 +2,7 @@
 #define DCAPE_STATE_PARTITION_GROUP_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,10 +46,14 @@ inline uint64_t SecondaryKeyHash(JoinKey key) {
 /// partition id, kept together so joins never span machines and cleanup
 /// needs no per-tuple timestamps (§2, "Partition-Group Granularity").
 ///
-/// Internally one hash table per input stream maps the join key to the
-/// tuples seen with that key. An arriving tuple probes the *other*
-/// streams' tables (m-way symmetric hash join, Viglas et al. [26]) and is
-/// then inserted into its own stream's table.
+/// Internally one key-major hash table maps each join key to an entry
+/// holding everything the group knows about the key: its access clock
+/// and, per stream, the key's tuples in arrival order. An arriving tuple
+/// finds or creates its key's entry once, probes the *other* streams'
+/// lists there (m-way symmetric hash join, Viglas et al. [26]), appends
+/// itself to its own stream's list and stamps the clock.
+/// Nothing iterates the table in hash order on the way to bytes or
+/// results: every reader walks ascending keys.
 class PartitionGroup {
  public:
   /// An empty group for `partition` over `num_streams` join inputs.
@@ -60,13 +65,14 @@ class PartitionGroup {
   PartitionGroup& operator=(PartitionGroup&&) = default;
 
   /// Probes the other streams for matches with `tuple` and appends the
-  /// produced m-way results to `results`, then inserts `tuple` into its
-  /// stream's table. Returns the number of results produced. Updates
-  /// byte accounting and productivity counters. When `projection` is
-  /// non-null each result's (group_key, agg_value) is computed from the
-  /// member tuples. When `window_ticks > 0` only combinations whose
-  /// member timestamps span at most the window qualify (sliding-window
-  /// join semantics for infinite streams).
+  /// produced m-way results to `results`, then appends `tuple` to the
+  /// key's entry — one hash lookup covers the probe, the insert and the
+  /// access clock. Returns the number of results produced. Updates byte
+  /// accounting and productivity counters. When `projection` is non-null
+  /// each result's (group_key, agg_value) is computed from the member
+  /// tuples. When `window_ticks > 0` only combinations whose member
+  /// timestamps span at most the window qualify (sliding-window join
+  /// semantics for infinite streams).
   DCAPE_HOT_PATH int64_t ProbeAndInsert(
       const Tuple& tuple, std::vector<JoinResult>* results,
       const ResultProjection* projection = nullptr, Tick window_ticks = 0);
@@ -90,7 +96,7 @@ class PartitionGroup {
 
   /// Moves the *coldest whole keys* — every stream's tuples for a key
   /// move together — into `cold` until at least `target_bytes` have
-  /// moved. Coldness is the per-key access clock (last ProbeAndInsert
+  /// moved. Coldness is the key's access clock (last ProbeAndInsert
   /// arrival for the key; keys never probed rank coldest), ties broken
   /// on ascending key, so the split is a pure function of the
   /// processing history and deterministic across thread counts.
@@ -111,8 +117,10 @@ class PartitionGroup {
   PartitionGroup SplitBySecondaryHashBit(int bit);
 
   /// Distinct join keys across all streams (a partial spill or
-  /// sub-partition split needs >= 2 to make progress).
-  int64_t DistinctKeyCount() const;
+  /// sub-partition split needs >= 2 to make progress). O(1).
+  int64_t DistinctKeyCount() const {
+    return static_cast<int64_t>(table_.size());
+  }
 
   /// Exact number of bytes the v1 fixed-width Serialize appends. O(1):
   /// the tracked byte accounting already equals the tuples' raw
@@ -135,15 +143,17 @@ class PartitionGroup {
   [[nodiscard]] static StatusOr<PartitionGroup> Deserialize(
       std::string_view data);
 
-  /// The tuples of one input stream, grouped by join key. Exposed for the
-  /// cleanup processor, which joins across generations.
-  const std::unordered_map<JoinKey, std::vector<Tuple>>& TableForStream(
-      StreamId stream) const;
+  /// Every join key the group holds tuples for, ascending.
+  std::vector<JoinKey> SortedKeys() const;
 
   /// One stream's join keys in ascending order. The streaming cleanup
   /// merge iterates memory-resident generations key-by-key alongside
   /// disk cursors, which decode segments in key-sorted section order.
   std::vector<JoinKey> SortedKeysForStream(StreamId stream) const;
+
+  /// Stream `stream`'s tuples with join key `key`, in arrival order.
+  /// Empty when there are none; valid until the group next changes.
+  std::span<const Tuple> KeyTuples(JoinKey key, StreamId stream) const;
 
   PartitionId partition() const { return partition_; }
   int num_streams() const { return num_streams_; }
@@ -165,27 +175,44 @@ class PartitionGroup {
   }
 
  private:
-  /// Moves the whole per-stream buckets of `key` into `dst`, with byte /
-  /// tuple accounting and the key's access-clock entry. Returns the
-  /// bytes moved.
-  int64_t MoveKeyTo(JoinKey key, PartitionGroup* dst);
+  /// Everything the group holds for one join key. An entry exists iff it
+  /// holds a tuple.
+  struct KeyEntry {
+    explicit KeyEntry(int num_streams)
+        : streams(static_cast<size_t>(num_streams)) {}
+    /// Deterministic access clock: the access_clock_ tick of the last
+    /// ProbeAndInsert arrival with this key, 0 if none (ranks coldest).
+    /// Never serialized — a restored generation starts cold.
+    int64_t last_touch = 0;
+    /// streams[s] = the key's tuples of stream s, in arrival order.
+    std::vector<std::vector<Tuple>> streams;
+  };
+  using Table = std::unordered_map<JoinKey, KeyEntry>;
+
+  /// The entry for `key`, created empty if the group has none (the
+  /// caller then appends to it). One hash lookup.
+  KeyEntry& EntryFor(JoinKey key);
+  /// Appends `tuple` to `entry`, with byte / tuple accounting.
+  void Append(KeyEntry* entry, Tuple&& tuple);
+  /// Appends each stream's tuples of `from` behind `into`'s and merges
+  /// the access clocks by max; byte / tuple accounting is the caller's.
+  static void Absorb(KeyEntry* into, KeyEntry* from);
+  /// Moves the entry at `it` — every stream's tuples and the access
+  /// clock — into `dst`, merging with an entry `dst` already has.
+  /// Returns the bytes moved.
+  int64_t MoveEntryTo(Table::iterator it, PartitionGroup* dst);
+  /// Entries in ascending key order.
+  std::vector<const Table::value_type*> SortedEntries() const;
 
   PartitionId partition_;
   int num_streams_;
-  /// tables_[s][key] = tuples of stream s with that join key.
-  std::vector<std::unordered_map<JoinKey, std::vector<Tuple>>> tables_;
+  Table table_;
   int64_t bytes_ = 0;
   int64_t tuple_count_ = 0;
   int64_t outputs_ = 0;
-  /// Deterministic per-bucket access clock: a logical counter advanced
-  /// on every ProbeAndInsert; last_touch_[key] is the arriving tuple's
-  /// tick number. Never serialized — a restored generation starts cold.
+  /// Logical counter advanced on every ProbeAndInsert; the arriving
+  /// tuple's tick number is its key's last_touch.
   int64_t access_clock_ = 0;
-  std::unordered_map<JoinKey, int64_t> last_touch_;
-  /// Reusable probe scratch: match list per stream and the odometer
-  /// cursor. Members so the per-tuple hot path never heap-allocates.
-  std::vector<const std::vector<Tuple>*> probe_matches_;
-  std::vector<size_t> probe_cursor_;
 };
 
 }  // namespace dcape

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <string>
 
+#include "common/ids.h"
+
 namespace dcape {
 namespace {
 
@@ -11,7 +13,7 @@ namespace {
 constexpr char kGroupMagic[4] = {0x44, 0x43, 0x50, static_cast<char>(0xB2)};
 
 Status CheckStreamCount(int64_t num_streams) {
-  if (num_streams < 2 || num_streams > 1024) {
+  if (num_streams < 2 || num_streams > kMaxStreams) {
     return Status::InvalidArgument(
         "partition group stream count out of range: " +
         std::to_string(num_streams));

@@ -1,10 +1,14 @@
 #ifndef DCAPE_TUPLE_TUPLE_H_
 #define DCAPE_TUPLE_TUPLE_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/ids.h"
 #include "common/virtual_clock.h"
 
@@ -73,6 +77,43 @@ struct TupleBatch {
   }
 };
 
+/// The `seq`s of a join result's members, one per input stream, stored
+/// inline (capacity kMaxStreams): building or copying a result never
+/// touches the heap.
+class MemberSeqs {
+ public:
+  using iterator = const int64_t*;
+  using const_iterator = const int64_t*;
+
+  MemberSeqs() = default;
+  MemberSeqs(std::initializer_list<int64_t> seqs) {
+    DCAPE_CHECK_LE(seqs.size(), static_cast<size_t>(kMaxStreams));
+    std::copy(seqs.begin(), seqs.end(), seqs_.begin());
+    size_ = static_cast<uint32_t>(seqs.size());
+  }
+
+  /// Resizes to `n` members, each `seq`.
+  void assign(size_t n, int64_t seq) {
+    DCAPE_CHECK_LE(n, static_cast<size_t>(kMaxStreams));
+    std::fill_n(seqs_.begin(), n, seq);
+    size_ = static_cast<uint32_t>(n);
+  }
+
+  size_t size() const { return size_; }
+  int64_t& operator[](size_t i) { return seqs_[i]; }
+  int64_t operator[](size_t i) const { return seqs_[i]; }
+  const_iterator begin() const { return seqs_.data(); }
+  const_iterator end() const { return seqs_.data() + size_; }
+
+  friend bool operator==(const MemberSeqs& a, const MemberSeqs& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<int64_t, kMaxStreams> seqs_{};
+  uint32_t size_ = 0;
+};
+
 /// One m-way join result: the identity of the m joined tuples (one per
 /// input stream, ordered by stream id) plus the join key and partition.
 ///
@@ -83,7 +124,7 @@ struct TupleBatch {
 struct JoinResult {
   PartitionId partition = 0;
   JoinKey join_key = 0;
-  std::vector<int64_t> member_seqs;
+  MemberSeqs member_seqs;
   /// Grouping key projected from the member tuples when the query
   /// configures a ResultProjection (0 otherwise). For QUERY 1 this is the
   /// broker.

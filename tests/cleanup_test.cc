@@ -67,7 +67,7 @@ TEST(CleanupTest, CrossGenerationComboIsProduced) {
   StatusOr<CleanupStats> stats = processor.Run({store.get()}, {&state});
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->result_count, 1);
-  EXPECT_EQ(stats->results[0].member_seqs, (std::vector<int64_t>{1, 9}));
+  EXPECT_EQ(stats->results[0].member_seqs, (MemberSeqs{1, 9}));
   EXPECT_EQ(stats->results[0].join_key, 5);
   EXPECT_EQ(stats->partitions_cleaned, 1);
   EXPECT_GT(stats->total_ticks, 0);

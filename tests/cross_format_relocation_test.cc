@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,8 @@ int64_t Populate(StateManager* manager) {
 std::vector<Tuple> CanonicalTuples(const PartitionGroup& group) {
   std::vector<Tuple> all;
   for (StreamId s = 0; s < group.num_streams(); ++s) {
-    for (const auto& [key, tuples] : group.TableForStream(s)) {
+    for (JoinKey key : group.SortedKeysForStream(s)) {
+      const std::span<const Tuple> tuples = group.KeyTuples(key, s);
       all.insert(all.end(), tuples.begin(), tuples.end());
     }
   }

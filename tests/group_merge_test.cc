@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 namespace dcape {
 namespace {
@@ -102,27 +104,67 @@ TEST(CrossJoinGenerationsTest, MatchesBruteForceOnMixedKeys) {
 
   auto full_join_count = [](const PartitionGroup& g) {
     int64_t total = 0;
-    for (const auto& [key, s0] : g.TableForStream(0)) {
-      auto it = g.TableForStream(1).find(key);
-      if (it != g.TableForStream(1).end()) {
-        total += static_cast<int64_t>(s0.size() * it->second.size());
-      }
+    for (JoinKey key : g.SortedKeysForStream(0)) {
+      total += static_cast<int64_t>(g.KeyTuples(key, 0).size() *
+                                    g.KeyTuples(key, 1).size());
     }
     return total;
   };
 
   PartitionGroup merged(0, 2);
   for (StreamId s = 0; s < 2; ++s) {
-    for (const auto& [key, tuples] : older.TableForStream(s)) {
-      for (const Tuple& t : tuples) merged.InsertOnly(t);
-    }
-    for (const auto& [key, tuples] : newer.TableForStream(s)) {
-      for (const Tuple& t : tuples) merged.InsertOnly(t);
+    for (const PartitionGroup* g : {&older, &newer}) {
+      for (JoinKey key : g->SortedKeysForStream(s)) {
+        for (const Tuple& t : g->KeyTuples(key, s)) merged.InsertOnly(t);
+      }
     }
   }
   const int64_t expected = full_join_count(merged) - full_join_count(older) -
                            full_join_count(newer);
   EXPECT_EQ(CrossJoinGenerations(older, newer, nullptr, nullptr), expected);
+}
+
+TEST(CrossJoinGenerationsTest, ResultOrderIsAFunctionOfTheStates) {
+  // Restore sends the cross results in the order this returns them, so
+  // two `newer` generations with the same contents must yield the same
+  // sequence. `grown` first holds 5,000 extra keys that EvictBefore then
+  // drops: its blob is byte-identical to `plain`'s, only its insertion
+  // history differs.
+  PartitionGroup older(0, 2);
+  for (JoinKey key = 0; key < 100; ++key) {
+    older.InsertOnly(MakeTuple(0, key, key));
+  }
+  auto fill = [](PartitionGroup* g) {
+    for (JoinKey key = 0; key < 64; ++key) {
+      Tuple t = MakeTuple(1, 1000 + key, key);
+      t.timestamp = 100;
+      g->InsertOnly(t);
+    }
+  };
+  PartitionGroup plain(0, 2);
+  fill(&plain);
+  PartitionGroup grown(0, 2);
+  for (JoinKey key = 10000; key < 15000; ++key) {
+    grown.InsertOnly(MakeTuple(1, key, key));  // timestamp 0: evicted
+  }
+  fill(&grown);
+  PartitionGroup expired(0, 2);
+  ASSERT_EQ(grown.EvictBefore(/*cutoff=*/50, &expired), 5000);
+
+  std::string plain_blob;
+  std::string grown_blob;
+  plain.Serialize(&plain_blob);
+  grown.Serialize(&grown_blob);
+  ASSERT_EQ(plain_blob, grown_blob);
+
+  std::vector<JoinResult> from_plain;
+  std::vector<JoinResult> from_grown;
+  ASSERT_EQ(CrossJoinGenerations(older, plain, nullptr, &from_plain), 64);
+  ASSERT_EQ(CrossJoinGenerations(older, grown, nullptr, &from_grown), 64);
+  for (size_t i = 0; i < from_plain.size(); ++i) {
+    EXPECT_EQ(from_plain[i].EncodeKey(), from_grown[i].EncodeKey())
+        << "result " << i;
+  }
 }
 
 }  // namespace

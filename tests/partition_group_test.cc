@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <set>
+#include <vector>
 
 namespace dcape {
+
+// Set by the allocation test; read by the operator new at the end of
+// this file.
+bool g_count_allocations = false;
+int64_t g_allocations = 0;
+
 namespace {
 
 Tuple MakeTuple(StreamId stream, int64_t seq, JoinKey key,
@@ -26,7 +35,7 @@ TEST(PartitionGroupTest, NoResultUntilAllStreamsMatch) {
   EXPECT_EQ(group.ProbeAndInsert(MakeTuple(2, 1, 7), &results), 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].join_key, 7);
-  EXPECT_EQ(results[0].member_seqs, (std::vector<int64_t>{1, 1, 1}));
+  EXPECT_EQ(results[0].member_seqs, (MemberSeqs{1, 1, 1}));
 }
 
 TEST(PartitionGroupTest, DifferentKeysDoNotJoin) {
@@ -111,13 +120,14 @@ TEST(PartitionGroupTest, SerializeDeserializeRoundTrip) {
   // Re-serialization is stable modulo hash-table iteration order: compare
   // the per-stream per-key seq multisets instead.
   for (StreamId s = 0; s < 3; ++s) {
-    const auto& original_table = group.TableForStream(s);
-    const auto& restored_table = restored->TableForStream(s);
-    ASSERT_EQ(original_table.size(), restored_table.size());
-    for (const auto& [key, tuples] : original_table) {
-      auto it = restored_table.find(key);
-      ASSERT_NE(it, restored_table.end());
-      EXPECT_EQ(it->second.size(), tuples.size());
+    const std::vector<JoinKey> original_keys = group.SortedKeysForStream(s);
+    const std::vector<JoinKey> restored_keys =
+        restored->SortedKeysForStream(s);
+    ASSERT_EQ(original_keys.size(), restored_keys.size());
+    for (JoinKey key : original_keys) {
+      ASSERT_FALSE(restored->KeyTuples(key, s).empty());
+      EXPECT_EQ(restored->KeyTuples(key, s).size(),
+                group.KeyTuples(key, s).size());
     }
   }
 }
@@ -157,5 +167,47 @@ TEST(PartitionGroupTest, InsertOnlySkipsProbing) {
   EXPECT_EQ(group.tuple_count(), 2);
 }
 
+TEST(PartitionGroupTest, SteadyStateProbeAllocatesNothing) {
+  PartitionGroup group(0, 3);
+  std::vector<JoinResult> results;
+  results.reserve(64);
+  // Key 8 holds two stream-0 and two stream-1 tuples and three stream-2
+  // tuples, so its stream-2 list has spare capacity for a fourth.
+  for (const StreamId s : {0, 1, 2, 0, 1, 2, 2}) {
+    group.ProbeAndInsert(MakeTuple(s, 5, 8), &results);
+  }
+  results.clear();
+
+  const Tuple arrival = MakeTuple(2, 9, 8);
+  const int64_t before = g_allocations;
+  g_count_allocations = true;
+  const int64_t produced = group.ProbeAndInsert(arrival, &results);
+  const JoinResult copy = results.back();
+  g_count_allocations = false;
+  EXPECT_EQ(produced, 4);
+  EXPECT_EQ(copy, results.back());
+  EXPECT_EQ(g_allocations - before, 0)
+      << "probing, building four results and copying one allocated";
+}
+
 }  // namespace
 }  // namespace dcape
+
+// Counts heap allocations while g_count_allocations is set (the
+// allocation test above); otherwise the default behaviour. GCC reads
+// free() on memory from operator new as a mismatch, but these
+// replacements pair malloc with free on purpose.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(size_t size) {
+  if (dcape::g_count_allocations) ++dcape::g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "state/partition_group.h"
+#include "storage/segment_index.h"
 #include "tuple/serde.h"
 #include "tuple/tuple.h"
 
@@ -18,7 +20,8 @@ namespace {
 std::vector<Tuple> CanonicalTuples(const PartitionGroup& group) {
   std::vector<Tuple> all;
   for (StreamId s = 0; s < group.num_streams(); ++s) {
-    for (const auto& [key, tuples] : group.TableForStream(s)) {
+    for (JoinKey key : group.SortedKeysForStream(s)) {
+      const std::span<const Tuple> tuples = group.KeyTuples(key, s);
       all.insert(all.end(), tuples.begin(), tuples.end());
     }
   }
@@ -192,6 +195,142 @@ TEST(SegmentFormatTest, CorruptCountsDoNotCrash) {
     (void)restored;
   }
   SUCCEED();
+}
+
+// The header of a group blob declaring `num_streams` streams, followed by
+// that many empty sections.
+std::string EmptyGroupBlob(SegmentFormat format, int num_streams) {
+  std::string blob;
+  ByteWriter writer(&blob);
+  if (format == SegmentFormat::kV1) {
+    writer.PutI32(/*partition=*/1);
+    writer.PutI32(num_streams);
+    writer.PutI64(/*outputs=*/0);
+    for (int s = 0; s < num_streams; ++s) writer.PutI64(0);
+    return blob;
+  }
+  blob.append("DCP\xB2", 4);
+  writer.PutU8(static_cast<uint8_t>(SegmentFormat::kV2));
+  writer.PutVarint(/*partition=*/1);
+  writer.PutVarint(static_cast<uint64_t>(num_streams));
+  writer.PutZigzag(/*outputs=*/0);
+  for (int s = 0; s < num_streams; ++s) writer.PutVarint(0);
+  return blob;
+}
+
+TEST(SegmentFormatTest, StreamCountAboveTheCapRejected) {
+  // Results store member seqs inline for at most kMaxStreams streams, so
+  // both decoders must refuse any blob declaring more.
+  for (SegmentFormat format : {SegmentFormat::kV1, SegmentFormat::kV2}) {
+    const std::string at_cap = EmptyGroupBlob(format, kMaxStreams);
+    StatusOr<PartitionGroup> ok = PartitionGroup::Deserialize(at_cap);
+    ASSERT_TRUE(ok.ok()) << ok.status();
+    EXPECT_EQ(ok->num_streams(), kMaxStreams);
+    EXPECT_TRUE(ScanSegmentSections(at_cap).ok());
+
+    for (int num_streams : {kMaxStreams + 1, 1024}) {
+      const std::string blob = EmptyGroupBlob(format, num_streams);
+      EXPECT_EQ(PartitionGroup::Deserialize(blob).status().code(),
+                StatusCode::kInvalidArgument)
+          << num_streams << " streams";
+      EXPECT_EQ(ScanSegmentSections(blob).status().code(),
+                StatusCode::kInvalidArgument)
+          << num_streams << " streams";
+    }
+  }
+}
+
+// One arrival sequence over three streams. Keys 0..19 receive every
+// stream, so they join; keys 20..29 receive only streams 0 and 1, so
+// they never produce a result and can be split in time across groups
+// without moving any output between them.
+std::vector<Tuple> CanonicalArrivals() {
+  std::mt19937_64 rng(4242);
+  std::uniform_int_distribution<JoinKey> key_dist(0, 29);
+  std::uniform_int_distribution<int> len_dist(0, 12);
+  std::vector<Tuple> arrivals;
+  for (int i = 0; i < 600; ++i) {
+    Tuple t;
+    t.join_key = key_dist(rng);
+    t.stream_id = static_cast<StreamId>(t.join_key < 20 ? i % 3 : i % 2);
+    t.seq = i;
+    t.timestamp = 1000 + 3 * i;
+    t.value = static_cast<int64_t>(rng() % 2001) - 1000;
+    t.category = static_cast<int64_t>(rng() % 5);
+    t.payload.assign(static_cast<size_t>(len_dist(rng)),
+                     static_cast<char>('a' + i % 26));
+    arrivals.push_back(t);
+  }
+  return arrivals;
+}
+
+void ExpectSameBlobs(const PartitionGroup& a, const PartitionGroup& b,
+                     const char* path) {
+  for (SegmentFormat format : {SegmentFormat::kV1, SegmentFormat::kV2}) {
+    std::string blob_a;
+    std::string blob_b;
+    a.Serialize(&blob_a, format);
+    b.Serialize(&blob_b, format);
+    EXPECT_EQ(blob_a, blob_b)
+        << path << ", format v" << static_cast<int>(format);
+  }
+}
+
+TEST(SegmentFormatTest, BlobIsAPureFunctionOfTheState) {
+  // Groups reaching the same logical state by different paths must
+  // encode to the same bytes in both formats.
+  const std::vector<Tuple> arrivals = CanonicalArrivals();
+  auto probe_all = [&](PartitionGroup* group, auto&& keep) {
+    for (const Tuple& t : arrivals) {
+      if (keep(t)) group->ProbeAndInsert(t, nullptr);
+    }
+  };
+  const auto all = [](const Tuple&) { return true; };
+
+  // Interleaved ProbeAndInsert of the whole sequence.
+  PartitionGroup reference(7, 3);
+  probe_all(&reference, all);
+  ASSERT_GT(reference.outputs(), 0);
+
+  // Deserialize + MergeFrom: the joining keys split by key, the
+  // non-joining ones by time, so both groups share keys 20..29.
+  const auto early = [](const Tuple& t) {
+    return t.join_key < 20 ? t.join_key < 10 : t.seq < 300;
+  };
+  PartitionGroup early_group(7, 3);
+  probe_all(&early_group, early);
+  PartitionGroup late_group(7, 3);
+  probe_all(&late_group, [&](const Tuple& t) { return !early(t); });
+  std::string early_blob;
+  early_group.Serialize(&early_blob);
+  StatusOr<PartitionGroup> merged = PartitionGroup::Deserialize(early_blob);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  merged->MergeFrom(std::move(late_group));
+  ExpectSameBlobs(reference, *merged, "Deserialize + MergeFrom");
+
+  // SplitColdest, then MergeFrom back.
+  PartitionGroup split(7, 3);
+  probe_all(&split, all);
+  PartitionGroup cold(7, 3);
+  ASSERT_GT(split.SplitColdest(split.bytes() / 2, &cold), 0);
+  split.MergeFrom(std::move(cold));
+  ExpectSameBlobs(reference, split, "SplitColdest + MergeFrom");
+
+  // Grow, then EvictBefore: 5,000 expired keys and expired tuples on the
+  // non-joining keys, none of which joins anything.
+  PartitionGroup grown(7, 3);
+  for (int i = 0; i < 5000; ++i) {
+    Tuple t;
+    t.stream_id = i % 2;
+    t.seq = 100000 + i;
+    t.join_key = i % 100 == 0 ? 20 + (i / 100) % 10 : 100000 + i;
+    t.timestamp = i % 1000;
+    grown.ProbeAndInsert(t, nullptr);
+  }
+  probe_all(&grown, all);
+  PartitionGroup expired(7, 3);
+  ASSERT_EQ(grown.EvictBefore(/*cutoff=*/1000, &expired), 5000);
+  ExpectSameBlobs(reference, grown, "grow + EvictBefore");
 }
 
 TEST(SegmentFormatTest, TupleBatchV2RoundTripAndSniffing) {

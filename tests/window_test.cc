@@ -34,7 +34,7 @@ TEST(WindowProbeTest, FiltersCombinationsBeyondTheWindow) {
                                  100),
             1);
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].member_seqs, (std::vector<int64_t>{2, 3}));
+  EXPECT_EQ(results[0].member_seqs, (MemberSeqs{2, 3}));
 }
 
 TEST(WindowProbeTest, ThreeWaySpanUsesMinAndMax) {
@@ -75,8 +75,9 @@ TEST(EvictBeforeTest, MovesExpiredTuplesAndAccounting) {
   EXPECT_EQ(evicted.tuple_count(), 2);
   EXPECT_EQ(group.bytes() + evicted.bytes(), bytes_before);
   // The surviving tuple is the ts=90 one.
-  ASSERT_EQ(group.TableForStream(0).size(), 1u);
-  EXPECT_EQ(group.TableForStream(0).at(5)[0].seq, 2);
+  ASSERT_EQ(group.SortedKeysForStream(0).size(), 1u);
+  ASSERT_EQ(group.SortedKeysForStream(0)[0], 5);
+  EXPECT_EQ(group.KeyTuples(5, 0)[0].seq, 2);
   // Re-running evicts nothing.
   PartitionGroup none(3, 2);
   EXPECT_EQ(group.EvictBefore(50, &none), 0);
