@@ -104,7 +104,7 @@ QueryEngine::Counters QueryEngine::counters() const {
 
 void QueryEngine::OnTupleBatch(Tick now, TupleBatch&& batch) {
   if (now >= busy_until_ && pending_batches_.empty()) {
-    ProcessBatch(now, batch);
+    ProcessBatch(now, std::move(batch));
   } else {
     pending_batches_.push_back(std::move(batch));
   }
@@ -237,11 +237,12 @@ void QueryEngine::OnMessage(Tick now, const Message& message) {
   }
 }
 
-void QueryEngine::ProcessBatch(Tick now, const TupleBatch& batch) {
+void QueryEngine::ProcessBatch(Tick now, TupleBatch&& batch) {
   std::vector<JoinResult> results;
-  for (const Tuple& tuple : batch.tuples) {
+  for (Tuple& tuple : batch.tuples) {
     const PartitionId partition =
         StreamGenerator::PartitionOfKey(tuple.join_key);
+    const auto stream = static_cast<size_t>(tuple.stream_id);
     if (config_.invariants != nullptr &&
         relocated_away_.count(partition) > 0) {
       config_.invariants->Report(
@@ -249,9 +250,9 @@ void QueryEngine::ProcessBatch(Tick now, const TupleBatch& batch) {
           " processed a tuple for relocated-away partition " +
           std::to_string(partition));
     }
-    mjoin_.Process(partition, tuple, &results);
+    mjoin_.Process(partition, std::move(tuple), &results);
     c_.tuples_processed->Increment();
-    c_.tuples_per_stream[static_cast<size_t>(tuple.stream_id)]->Increment();
+    c_.tuples_per_stream[stream]->Increment();
   }
   if (DCAPE_TRACE_ACTIVE(tracer_) && tracer_->verbose()) {
     tracer_->EmitInstant(
@@ -280,7 +281,7 @@ void QueryEngine::DrainPending(Tick now) {
   while (!pending_batches_.empty() && now >= busy_until_) {
     TupleBatch batch = std::move(pending_batches_.front());
     pending_batches_.pop_front();
-    ProcessBatch(now, batch);
+    ProcessBatch(now, std::move(batch));
   }
 }
 

@@ -2,6 +2,8 @@
 #define DCAPE_OPERATORS_UNION_OP_H_
 
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "tuple/tuple.h"
@@ -19,9 +21,14 @@ class UnionOp {
   UnionOp(const UnionOp&) = delete;
   UnionOp& operator=(const UnionOp&) = delete;
 
-  /// Appends one producer's batch to the merged output buffer.
+  /// Appends one producer's batch to the merged output buffer; an empty
+  /// buffer takes the batch's vector whole instead of copying into it.
   void Add(std::vector<JoinResult> results) {
     total_ += static_cast<int64_t>(results.size());
+    if (merged_.empty()) {
+      merged_ = std::move(results);
+      return;
+    }
     merged_.insert(merged_.end(), std::make_move_iterator(results.begin()),
                    std::make_move_iterator(results.end()));
   }

@@ -20,6 +20,11 @@ namespace {
 constexpr int64_t kIdleWaitMicros = 500;
 /// Messages drained per Poll round before housekeeping runs again.
 constexpr int kPollBudget = 256;
+/// Most ticks the generator coalesces into one emission when it is
+/// behind schedule (free-run always is). A stream emits at most one
+/// tuple per tick, so this also bounds every data-plane batch at 64
+/// tuples; kDefaultLinkCapacity is sized against it.
+constexpr Tick kMaxTicksPerEmit = 64;
 
 }  // namespace
 
@@ -149,20 +154,30 @@ void RealtimeDriver::GeneratorLoop() {
   // paced against the wall clock (rate mode) or as fast as backpressure
   // admits (free-run). Falling behind schedule is handled by catching
   // up, never by skipping ticks: the emitted tuple set stays exactly
-  // the tick-range prefix the oracle replays.
+  // the tick-range prefix the oracle replays. Catching up coalesces:
+  // one OnTicks call covers every tick already due, up to
+  // kMaxTicksPerEmit, so a late generator ships many ticks per message
+  // while one that keeps pace still ships one tick per message.
   GeneratorNode& generator = topology_.generator();
+  const bool paced = ticks_per_sec_ > 0;
   const int64_t duration_us =
       static_cast<int64_t>(options_.duration_sec) * 1000 * 1000;
-  Tick t = 0;
-  if (ticks_per_sec_ > 0) {
-    const int64_t total_ticks = static_cast<int64_t>(
-        static_cast<double>(options_.duration_sec) * ticks_per_sec_);
-    for (t = 0; t <= total_ticks; ++t) {
-      const int64_t due_us = static_cast<int64_t>(
-          static_cast<double>(t) * 1e6 / ticks_per_sec_);
+  const Tick total_ticks =
+      paced ? static_cast<Tick>(static_cast<double>(options_.duration_sec) *
+                                ticks_per_sec_)
+            : 0;
+  auto due_us = [this](Tick t) {
+    return static_cast<int64_t>(static_cast<double>(t) * 1e6 /
+                                ticks_per_sec_);
+  };
+  Tick next = 0;  // first tick not yet emitted
+  while (paced ? next <= total_ticks : clock_.NowMicros() < duration_us) {
+    Tick last = next + kMaxTicksPerEmit - 1;  // free-run: a full cap
+    if (paced) {
+      const int64_t next_due_us = due_us(next);
       int64_t now_us = clock_.NowMicros();
-      while (now_us < due_us) {
-        const int64_t gap = due_us - now_us;
+      while (now_us < next_due_us) {
+        const int64_t gap = next_due_us - now_us;
         if (gap > 2000) {
           std::this_thread::sleep_for(std::chrono::microseconds(gap - 1000));
         } else {
@@ -170,20 +185,16 @@ void RealtimeDriver::GeneratorLoop() {
         }
         now_us = clock_.NowMicros();
       }
-      ticks_emitted_.store(t, std::memory_order_release);
-      generator.StampNextEmit(clock_.NowMicros());
-      generator.OnTick(t, /*generate=*/true);
+      // Every tick already due, up to the cap.
+      last = next;
+      const Tick limit = std::min(total_ticks, next + kMaxTicksPerEmit - 1);
+      while (last < limit && due_us(last + 1) <= now_us) ++last;
     }
-  } else {
-    while (clock_.NowMicros() < duration_us) {
-      ticks_emitted_.store(t, std::memory_order_release);
-      generator.StampNextEmit(clock_.NowMicros());
-      generator.OnTick(t, /*generate=*/true);
-      ++t;
-    }
+    generator.StampNextEmit(clock_.NowMicros());
+    generator.OnTicks(next, last, /*generate=*/true);
+    next = last + 1;
   }
-  // t is one past the last emitted tick in both branches' exit paths.
-  ticks_emitted_.store(t - 1, std::memory_order_release);
+  ticks_emitted_ = next - 1;
   generator.FinishTrace();
 }
 
@@ -275,7 +286,7 @@ RunResult RealtimeDriver::Run() {
 
   report_.generate_wall_sec = generate_wall_sec;
   report_.total_wall_sec = total_wall_sec;
-  report_.ticks_run = ticks_emitted_.load(std::memory_order_acquire);
+  report_.ticks_run = ticks_emitted_;
   report_.tuples_generated = topology_.source().total_emitted();
   report_.runtime_results = topology_.sink().total();
   report_.tuples_per_sec =

@@ -32,7 +32,7 @@ struct RealtimeOptions {
   /// mode.
   int64_t rate = 0;
   /// SPSC ring capacity (messages) per directed link.
-  size_t link_capacity = 8192;
+  size_t link_capacity = kDefaultLinkCapacity;
   /// Drain watchdog: abort if the pipeline has not quiesced this many
   /// wall ms after generation stops.
   int64_t quiesce_timeout_ms = 60 * 1000;
@@ -132,9 +132,9 @@ class RealtimeDriver {
   Topology topology_;
 
   std::atomic<Phase> phase_{Phase::kRunning};
-  /// Highest tick emitted (generator thread publishes, oracle + sink
-  /// read).
-  std::atomic<Tick> ticks_emitted_{0};
+  /// Highest tick emitted: written by the generator thread as it
+  /// finishes, read by Run (the oracle's replay range) after joining it.
+  Tick ticks_emitted_ = 0;
   /// Cumulative results at the sink (sink thread publishes, sampler
   /// reads).
   std::atomic<int64_t> results_total_{0};

@@ -16,6 +16,14 @@
 namespace dcape {
 namespace rt {
 
+/// Default ring capacity (messages) per directed link: the one default
+/// behind SpscTransport::Config, RealtimeOptions and
+/// `dcape_run --rt-queue-capacity`. It is sized together with the
+/// generator's batch cap (kMaxTicksPerEmit, rt/realtime_driver.cc): a
+/// data-plane message carries at most that many tuples, so a link holds
+/// at most slots × cap tuples in flight.
+inline constexpr size_t kDefaultLinkCapacity = 256;
+
 /// The realtime cluster interconnect: one bounded lock-free SPSC ring
 /// per directed link (from -> to), created lazily on first send.
 ///
@@ -46,7 +54,7 @@ class SpscTransport : public Transport {
     /// Ring capacity (messages) per directed link; rounded up to a power
     /// of two. Sized for the data plane — control links use a tiny
     /// fraction of it.
-    size_t link_capacity = 8192;
+    size_t link_capacity = kDefaultLinkCapacity;
     /// TryPush attempts before a full-link producer parks. Kept modest:
     /// on an oversubscribed host, burning the consumer's timeslice in a
     /// spin loop only delays the pop that would free a slot.

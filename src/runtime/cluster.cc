@@ -55,7 +55,7 @@ void Cluster::DeliverWaves(Tick now) {
 
 void Cluster::StepTick(Tick now, bool generate) {
   DeliverWaves(now);
-  topology_.generator().OnTick(now, generate);
+  topology_.generator().OnTicks(now, now, generate);
   // Injected stalls are sampled here, in engine-id order on the main
   // thread, so the fault sequence is identical for every --threads
   // value.

@@ -380,7 +380,8 @@ realtime (docs/REALTIME.md):
   --rate=N               target input tuples/sec; 0 = free-run     [0]
   --check-oracle         replay the same input on the deterministic
                          simulator and require identical output
-  --rt-queue-capacity=N  SPSC ring slots per link                  [8192]
+  --rt-queue-capacity=N  SPSC ring slots per link                  [)" +
+         std::to_string(rt::kDefaultLinkCapacity) + R"(]
 
 output:
   --csv=PATH             write throughput/memory series as CSV

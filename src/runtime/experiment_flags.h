@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "rt/spsc_transport.h"
 #include "runtime/cluster_config.h"
 
 namespace dcape {
@@ -43,7 +44,7 @@ struct ExperimentOptions {
   /// simulator and require identical final output (--check-oracle).
   bool rt_check_oracle = false;
   /// SPSC ring capacity per link, in messages (--rt-queue-capacity).
-  size_t rt_queue_capacity = 8192;
+  size_t rt_queue_capacity = rt::kDefaultLinkCapacity;
 };
 
 /// Parses `--key=value` flags into an ExperimentOptions. Unknown flags,
@@ -76,7 +77,8 @@ struct ExperimentOptions {
 ///   --quiet (no tables)       --verbose (narrate adaptations)
 ///   --realtime                (wall-clock driver; see docs/REALTIME.md)
 ///   --duration-sec=N [5]      --rate=N [0 = free-run]
-///   --check-oracle            --rt-queue-capacity=N [8192]
+///   --check-oracle
+///   --rt-queue-capacity=N [rt::kDefaultLinkCapacity]
 [[nodiscard]] StatusOr<ExperimentOptions> ParseExperimentFlags(
     const std::vector<std::string>& args);
 

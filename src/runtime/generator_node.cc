@@ -26,27 +26,25 @@ GeneratorNode::GeneratorNode(NodeId node_id,
   }
 }
 
-void GeneratorNode::OnTick(Tick now, bool generate) {
+void GeneratorNode::OnTicks(Tick first, Tick last, bool generate) {
   if (!generate) return;
-  std::vector<Tuple> tuples = source_->EmitForTick(now);
-  if (tuples.empty()) return;
-  if (trace_writer_ != nullptr) {
-    for (const Tuple& t : tuples) trace_writer_->Append(now, t);
-  }
-
+  DCAPE_CHECK_LE(first, last);
   std::map<std::pair<NodeId, StreamId>, TupleBatch> batches;
-  for (Tuple& t : tuples) {
-    const NodeId host =
-        split_host_of_stream_[static_cast<size_t>(t.stream_id)];
-    TupleBatch& batch = batches[{host, t.stream_id}];
-    batch.stream_id = t.stream_id;
-    batch.tuples.push_back(std::move(t));
+  for (Tick now = first; now <= last; ++now) {
+    for (Tuple& t : source_->EmitForTick(now)) {
+      if (trace_writer_ != nullptr) trace_writer_->Append(now, t);
+      const NodeId host =
+          split_host_of_stream_[static_cast<size_t>(t.stream_id)];
+      TupleBatch& batch = batches[{host, t.stream_id}];
+      batch.stream_id = t.stream_id;
+      batch.tuples.push_back(std::move(t));
+    }
   }
   for (auto& [key, batch] : batches) {
     batch.emit_wall_us = emit_wall_us_;
     network_->Send(MakeTupleBatchMessage(node_id_, key.first,
                                          std::move(batch)),
-                   now);
+                   last);
   }
 }
 

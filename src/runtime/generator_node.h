@@ -14,11 +14,11 @@
 namespace dcape {
 
 /// The stream-generator machine (the paper dedicates one cluster node to
-/// it, §3.1). Each tick it pulls the due tuples from its InputSource
-/// (synthetic generator or trace replay), optionally records them to a
-/// trace, and ships one batch per (split host, stream) — the split
-/// operators themselves may be spread over several machines (paper §2:
-/// stateless operators are distributed freely).
+/// it, §3.1). Each call pulls the due tuples of a tick range from its
+/// InputSource (synthetic generator or trace replay), optionally records
+/// them to a trace, and ships one batch per (split host, stream) — the
+/// split operators themselves may be spread over several machines (paper
+/// §2: stateless operators are distributed freely).
 class GeneratorNode {
  public:
   /// `split_host_of_stream[s]` is the node hosting stream s's split.
@@ -32,12 +32,16 @@ class GeneratorNode {
 
   ~GeneratorNode() { FinishTrace(); }
 
-  /// Emits this tick's tuples toward the split hosts. `generate=false`
-  /// silences the source (drain phase).
-  void OnTick(Tick now, bool generate = true);
+  /// Emits the tuples of ticks [first, last] toward the split hosts: one
+  /// batch per (split host, stream), sent in that order, each holding
+  /// its stream's tuples in tick order. The simulator calls it once per
+  /// tick (first == last); the realtime generator coalesces the ticks it
+  /// is already late for into one call. `generate=false` silences the
+  /// source (drain phase).
+  void OnTicks(Tick first, Tick last, bool generate = true);
 
   /// Realtime only: wall-clock stamp (microseconds since run start)
-  /// copied onto every batch the *next* OnTick emits, so the sink can
+  /// copied onto every batch the *next* OnTicks emits, so the sink can
   /// measure end-to-end latency. The virtual-clock driver never calls
   /// this and batches carry 0.
   void StampNextEmit(int64_t wall_us) { emit_wall_us_ = wall_us; }

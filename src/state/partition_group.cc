@@ -36,7 +36,7 @@ void PartitionGroup::Append(KeyEntry* entry, Tuple&& tuple) {
       std::move(tuple));
 }
 
-int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
+int64_t PartitionGroup::ProbeAndInsert(Tuple tuple,
                                        std::vector<JoinResult>* results,
                                        const ResultProjection* projection,
                                        Tick window_ticks) {
@@ -104,7 +104,7 @@ int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
     }
   }
 
-  Append(&entry, Tuple(tuple));
+  Append(&entry, std::move(tuple));
   entry.last_touch = ++access_clock_;
   outputs_ += produced;
   return produced;

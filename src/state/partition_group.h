@@ -65,7 +65,7 @@ class PartitionGroup {
   PartitionGroup& operator=(PartitionGroup&&) = default;
 
   /// Probes the other streams for matches with `tuple` and appends the
-  /// produced m-way results to `results`, then appends `tuple` to the
+  /// produced m-way results to `results`, then moves `tuple` into the
   /// key's entry — one hash lookup covers the probe, the insert and the
   /// access clock. Returns the number of results produced. Updates byte
   /// accounting and productivity counters. When `projection` is non-null
@@ -74,7 +74,7 @@ class PartitionGroup {
   /// timestamps span at most the window qualify (sliding-window join
   /// semantics for infinite streams).
   DCAPE_HOT_PATH int64_t ProbeAndInsert(
-      const Tuple& tuple, std::vector<JoinResult>* results,
+      Tuple tuple, std::vector<JoinResult>* results,
       const ResultProjection* projection = nullptr, Tick window_ticks = 0);
 
   /// Moves every tuple with timestamp < `cutoff` into `evicted` (a group

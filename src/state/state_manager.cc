@@ -20,7 +20,7 @@ StateManager::StateManager(int num_streams,
   }
 }
 
-int64_t StateManager::ProcessTuple(PartitionId partition, const Tuple& tuple,
+int64_t StateManager::ProcessTuple(PartitionId partition, Tuple tuple,
                                    std::vector<JoinResult>* results) {
   auto it = groups_.find(partition);
   if (it == groups_.end()) {
@@ -32,7 +32,7 @@ int64_t StateManager::ProcessTuple(PartitionId partition, const Tuple& tuple,
   PartitionGroup& group = *it->second;
   const int64_t bytes_before = group.bytes();
   const int64_t produced = group.ProbeAndInsert(
-      tuple, results, projection_.has_value() ? &*projection_ : nullptr,
+      std::move(tuple), results, projection_.has_value() ? &*projection_ : nullptr,
       window_ticks_);
   total_bytes_ += group.bytes() - bytes_before;
   total_tuples_ += 1;

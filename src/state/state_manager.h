@@ -68,10 +68,10 @@ class StateManager {
   /// partition.
   std::vector<ExtractedGroup> EvictExpired(Tick cutoff);
 
-  /// Routes `tuple` into its partition group (creating it on first touch),
-  /// probing for join results first. Returns the number of results
-  /// appended to `results`.
-  int64_t ProcessTuple(PartitionId partition, const Tuple& tuple,
+  /// Moves `tuple` into its partition group (creating it on first
+  /// touch), probing for join results first. Returns the number of
+  /// results appended to `results`.
+  int64_t ProcessTuple(PartitionId partition, Tuple tuple,
                        std::vector<JoinResult>* results);
 
   /// Serializes the named groups and removes them from memory. Used for

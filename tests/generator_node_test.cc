@@ -6,6 +6,9 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "stream/stream_generator.h"
 #include "stream/trace.h"
@@ -50,7 +53,7 @@ TEST_F(GeneratorNodeTest, RoutesStreamsToTheirHosts) {
       /*node_id=*/0, std::make_unique<StreamGenerator>(SmallWorkload()),
       /*split_host_of_stream=*/{10, 11, 12}, &network_,
       /*record_trace=*/nullptr);
-  for (Tick t = 0; t <= 1000; ++t) node.OnTick(t);
+  for (Tick t = 0; t <= 1000; ++t) node.OnTicks(t, t);
   network_.DeliverUntil(2000);
 
   // Each host received exactly its stream, ~101 tuples each.
@@ -65,7 +68,7 @@ TEST_F(GeneratorNodeTest, RoutesStreamsToTheirHosts) {
 TEST_F(GeneratorNodeTest, SharedHostGetsSeparateBatchesPerStream) {
   GeneratorNode node(0, std::make_unique<StreamGenerator>(SmallWorkload()),
                      {10, 10, 10}, &network_, nullptr);
-  node.OnTick(0);
+  node.OnTicks(0, 0);
   network_.DeliverUntil(100);
   EXPECT_EQ((per_host_stream_[{10, 0}]), 1);
   EXPECT_EQ((per_host_stream_[{10, 1}]), 1);
@@ -75,8 +78,9 @@ TEST_F(GeneratorNodeTest, SharedHostGetsSeparateBatchesPerStream) {
 TEST_F(GeneratorNodeTest, GenerateFalseSilencesTheSource) {
   GeneratorNode node(0, std::make_unique<StreamGenerator>(SmallWorkload()),
                      {10, 10, 10}, &network_, nullptr);
-  node.OnTick(0, /*generate=*/false);
-  network_.DeliverUntil(100);
+  node.OnTicks(0, 0, /*generate=*/false);
+  node.OnTicks(1, 100, /*generate=*/false);
+  network_.DeliverUntil(200);
   EXPECT_TRUE(per_host_stream_.empty());
   EXPECT_EQ(node.source().total_emitted(), 0);
 }
@@ -86,7 +90,7 @@ TEST_F(GeneratorNodeTest, RecordsTraceOfEverythingEmitted) {
   {
     GeneratorNode node(0, std::make_unique<StreamGenerator>(SmallWorkload()),
                        {10, 10, 10}, &network_, &trace);
-    for (Tick t = 0; t <= 500; ++t) node.OnTick(t);
+    for (Tick t = 0; t <= 500; ++t) node.OnTicks(t, t);
     node.FinishTrace();
   }
   StatusOr<std::vector<TraceRecord>> records = DecodeTrace(trace);
@@ -103,9 +107,82 @@ TEST_F(GeneratorNodeTest, TraceFinalizedByDestructorToo) {
   {
     GeneratorNode node(0, std::make_unique<StreamGenerator>(SmallWorkload()),
                        {10, 10, 10}, &network_, &trace);
-    node.OnTick(0);
+    node.OnTicks(0, 0);
   }
   EXPECT_TRUE(DecodeTrace(trace).ok());
+}
+
+/// Keeps every message sent, in send order, without delivering it.
+class RecordingTransport : public Transport {
+ public:
+  void RegisterNode(NodeId, Handler) override {}
+  void Send(Message message, Tick) override {
+    sent.push_back(std::move(message));
+  }
+  std::vector<Message> sent;
+};
+
+/// Concatenates each stream's batches, in send order.
+std::map<StreamId, std::vector<Tuple>> TuplesByStream(
+    const std::vector<Message>& sent) {
+  std::map<StreamId, std::vector<Tuple>> tuples;
+  for (const Message& m : sent) {
+    const auto& batch = std::get<TupleBatch>(m.payload);
+    std::vector<Tuple>& stream = tuples[batch.stream_id];
+    stream.insert(stream.end(), batch.tuples.begin(), batch.tuples.end());
+  }
+  return tuples;
+}
+
+TEST_F(GeneratorNodeTest, OneCallOverATickRangeMatchesSingleTickCalls) {
+  // Streams 0 and 2 share host 10; the range starts and ends off the
+  // 10-tick arrival grid and holds six arrivals per stream.
+  constexpr Tick kFirst = 5;
+  constexpr Tick kLast = 64;
+  const std::vector<NodeId> hosts = {10, 11, 10};
+  RecordingTransport range_net;
+  RecordingTransport single_net;
+  std::string range_trace;
+  std::string single_trace;
+  {
+    GeneratorNode range(0, std::make_unique<StreamGenerator>(SmallWorkload()),
+                        hosts, &range_net, &range_trace);
+    GeneratorNode single(0,
+                         std::make_unique<StreamGenerator>(SmallWorkload()),
+                         hosts, &single_net, &single_trace);
+    // A shared single-tick prefix, so the range starts mid-stream.
+    for (Tick t = 0; t < kFirst; ++t) {
+      range.OnTicks(t, t);
+      single.OnTicks(t, t);
+    }
+    range_net.sent.clear();
+    single_net.sent.clear();
+    range.OnTicks(kFirst, kLast);
+    for (Tick t = kFirst; t <= kLast; ++t) single.OnTicks(t, t);
+    EXPECT_EQ(range.source().total_emitted(), single.source().total_emitted());
+  }
+
+  // Exactly one batch per (host, stream), sent in that order.
+  std::vector<std::pair<NodeId, StreamId>> sends;
+  for (const Message& m : range_net.sent) {
+    sends.emplace_back(m.to, std::get<TupleBatch>(m.payload).stream_id);
+  }
+  const std::vector<std::pair<NodeId, StreamId>> expected = {
+      {10, 0}, {10, 2}, {11, 1}};
+  EXPECT_EQ(sends, expected);
+  EXPECT_EQ(single_net.sent.size(), 3u * 6u);
+
+  // The same tuples per stream, in the same (tick) order.
+  const std::map<StreamId, std::vector<Tuple>> tuples =
+      TuplesByStream(range_net.sent);
+  EXPECT_EQ(tuples, TuplesByStream(single_net.sent));
+  for (const auto& [stream, list] : tuples) {
+    EXPECT_EQ(list.size(), 6u) << "stream " << stream;
+  }
+
+  // Byte-identical recorded traces (both finalized by the destructors).
+  EXPECT_FALSE(range_trace.empty());
+  EXPECT_EQ(range_trace, single_trace);
 }
 
 }  // namespace

@@ -124,6 +124,35 @@ TEST(RealtimeOracleTest, FreeRunMatchesVirtualRun) {
   ExpectMatchesVirtualOracle(config, options);
 }
 
+TEST(RealtimeOracleTest, RelocationWhileBehindSchedule) {
+  // A free-running generator is always behind schedule, so every
+  // emission coalesces the driver's full cap of ticks: multi-tick
+  // batches sit in the rings and in the paused split while a relocation
+  // moves state off the overloaded engine. The 0.9/0.1 placement makes
+  // the first relocation check (after 1 s) find the imbalance. Stats
+  // come every 0.5 s so that check already holds both engines' reports:
+  // with 1 s reports it races them, and the next check (2 s) races the
+  // end of generation, which a loaded host can lose.
+  ClusterConfig config = testing::SmallClusterConfig();
+  config.strategy = AdaptationStrategy::kRelocationOnly;
+  config.placement_fractions = {0.9, 0.1};
+  config.relocation.theta_r = 0.55;
+  config.relocation.sr_timer_period = SecondsToTicks(1);
+  config.relocation.min_time_between = SecondsToTicks(1);
+  config.stats_period = SecondsToTicks(1) / 2;
+  config.workload.inter_arrival_ticks = 1;
+  // Sparse keys keep the multiset comparison fast at ~1M input tuples.
+  config.workload.classes[0].tuple_range = 960000;
+  RealtimeOptions options;
+  options.duration_sec = 2;
+  options.rate = 0;
+  RunResult realtime;
+  ExpectMatchesVirtualOracle(config, options, &realtime);
+  EXPECT_GE(realtime.coordinator.relocations_completed, 1);
+  // Batches carry many ticks: far fewer messages than tuples.
+  EXPECT_LT(realtime.network.messages_sent * 4, realtime.tuples_generated);
+}
+
 TEST(RealtimeOracleTest, RunResultMatchesRegistry) {
   // The realtime twin of MetricsRegistryIntegrationTest's check
   // (trace_determinism_test.cc): the spill-only run's storage counters
