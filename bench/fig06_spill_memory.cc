@@ -16,12 +16,10 @@ namespace dcape {
 namespace bench {
 namespace {
 
-/// CI smoke overrides (full paper runs use the defaults): shorten the
-/// run and pin the cleanup pipeline so both modes get exercised.
+/// CI smoke override (full paper runs use the defaults): shorten the
+/// run.
 struct Options {
   Tick duration = 0;  // 0 = keep PaperBaseConfig's 40 min
-  CleanupMode cleanup_mode = CleanupMode::kStream;
-  bool cleanup_mode_set = false;
 };
 
 bool ParseOptions(const std::vector<std::string>& args, Options* out) {
@@ -34,16 +32,8 @@ bool ParseOptions(const std::vector<std::string>& args, Options* out) {
         return false;
       }
       out->duration = MinutesToTicks(minutes);
-    } else if (view == "--cleanup-mode=stream") {
-      out->cleanup_mode = CleanupMode::kStream;
-      out->cleanup_mode_set = true;
-    } else if (view == "--cleanup-mode=materialize") {
-      out->cleanup_mode = CleanupMode::kMaterialize;
-      out->cleanup_mode_set = true;
     } else {
-      std::cerr << "unknown flag '" << arg
-                << "' (known: --duration-min=N, "
-                   "--cleanup-mode=stream|materialize)\n";
+      std::cerr << "unknown flag '" << arg << "' (known: --duration-min=N)\n";
       return false;
     }
   }
@@ -52,7 +42,6 @@ bool ParseOptions(const std::vector<std::string>& args, Options* out) {
 
 void Apply(const Options& options, ClusterConfig* config) {
   if (options.duration > 0) config->run_duration = options.duration;
-  if (options.cleanup_mode_set) config->cleanup.mode = options.cleanup_mode;
 }
 
 int Main(const std::vector<std::string>& args) {

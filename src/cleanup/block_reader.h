@@ -245,8 +245,7 @@ class V1SectionCursor : public KeyRunCursor {
 };
 
 /// Cursor over one stream of a memory-resident PartitionGroup (the
-/// engines' unspilled remainders, and the whole-read fallback for
-/// segments without a section index). The group's own storage is not
+/// engines' unspilled remainders). The group's own storage is not
 /// charged to the tracker — only the current key's extracted member
 /// list is cleanup-owned memory.
 class MemoryGenCursor : public KeyRunCursor {

@@ -4,9 +4,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <span>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "cleanup/block_reader.h"
@@ -19,58 +16,12 @@
 namespace dcape {
 namespace {
 
-/// One generation of a partition during cleanup: per stream, the member
-/// refs seen per join key. (Materialized pipeline only — the streaming
-/// pipeline never holds a whole generation.)
-struct Generation {
-  EngineId home = 0;
-  /// Eviction *fragments*: window-expired tuples preserved when their
-  /// partition had disk generations. A fragment belongs to the logical
-  /// generation it was evicted from, which ends at the next spill (or
-  /// the memory remainder); fragments are coalesced into that ending
-  /// generation before the incremental merge, so that intra-logical-
-  /// generation combinations — produced at run time or outside the
-  /// window — are exactly the excluded all-Δ term.
-  bool evicted = false;
-  /// Ordering key: spill time for disk generations; memory remainders
-  /// sort last.
-  Tick order_time = 0;
-  int64_t order_tiebreak = 0;
-  int64_t bytes = 0;
-  int64_t tuple_count = 0;
-  std::vector<std::unordered_map<JoinKey, std::vector<MemberRef>>> keys;
-};
-
-/// Converts a deserialized partition group into a Generation.
-Generation FromGroup(const PartitionGroup& group, EngineId home,
-                     Tick order_time, int64_t tiebreak, int64_t bytes) {
-  Generation gen;
-  gen.home = home;
-  gen.order_time = order_time;
-  gen.order_tiebreak = tiebreak;
-  gen.bytes = bytes;
-  gen.tuple_count = group.tuple_count();
-  gen.keys.resize(static_cast<size_t>(group.num_streams()));
-  for (StreamId s = 0; s < group.num_streams(); ++s) {
-    auto& out = gen.keys[static_cast<size_t>(s)];
-    for (JoinKey key : group.SortedKeysForStream(s)) {
-      const std::span<const Tuple> tuples = group.KeyTuples(key, s);
-      std::vector<MemberRef>& refs = out[key];
-      refs.reserve(tuples.size());
-      for (const Tuple& t : tuples) {
-        refs.push_back(MemberRef{t.seq, t.value, t.category, t.timestamp});
-      }
-    }
-  }
-  return gen;
-}
-
 /// What one partition's merge contributes to the global CleanupStats.
 /// Accumulated privately per partition so the merge loop can run on any
 /// ExecPool lane, then folded into the stats in fixed partition order.
 struct PartitionOutcome {
-  /// Streaming pipeline: first decode/read error of this partition's
-  /// merge (the whole Run fails with the lowest-partition error).
+  /// First decode/read error of this partition's merge (the whole Run
+  /// fails with the lowest-partition error).
   Status status = Status::OK();
   EngineId home = 0;
   /// Busy time charged to the home engine (network fetch + join CPU).
@@ -99,245 +50,21 @@ std::vector<JoinResult> GatherResults(
   return results;
 }
 
-/// Tasks (2)+(3) of §3 for one partition: order its generations,
-/// coalesce eviction fragments, pick the cleanup home, and emit the
-/// cross-generation results. Consumes `generations`. Pure function of
-/// its inputs — partitions share nothing, which is what makes the
-/// parallel dispatch race-free.
-PartitionOutcome ProcessPartition(const CleanupConfig& config, int num_streams,
-                                  PartitionId partition,
-                                  std::vector<Generation>* generations_in) {
-  PartitionOutcome outcome;
-  std::vector<Generation>& generations = *generations_in;
-  if (generations.size() < 2) return outcome;
-  std::sort(generations.begin(), generations.end(),
-            [](const Generation& a, const Generation& b) {
-              if (a.order_time != b.order_time) {
-                return a.order_time < b.order_time;
-              }
-              if (a.home != b.home) return a.home < b.home;
-              return a.order_tiebreak < b.order_tiebreak;
-            });
-
-  // Coalesce eviction fragments into the generation that ends their
-  // logical generation: the next non-evicted generation in time order
-  // (a spill or the memory remainder). Trailing fragments with no
-  // later non-evicted generation form one unit of their own.
-  {
-    // Partial (bucket-granular) spills break the whole-fragment rule
-    // "the next non-evicted generation closes my logical generation": a
-    // partial piece carries only the cold keys, while a fragment
-    // tuple's runtime partners (same key, coexistent in memory) stay in
-    // the hot residue and surface in a LATER generation — coalescing
-    // the whole fragment into the next piece would re-emit their
-    // already-produced combinations as cross-generation results. The
-    // logical generation is per-key: each fragment key merges into the
-    // next non-evicted generation that contains that key (a whole-group
-    // spill carries every resident key, so this reduces to the old
-    // whole-fragment rule). Keys with no later containing generation
-    // form one trailing unit — within a key, pairs that never coexisted
-    // in memory are separated by more than the window and excluded by
-    // the span check either way.
-    std::vector<Generation> units;
-    struct Frag {
-      Generation gen;
-      size_t next_unit = 0;  // index into `units` of the next one in order
-    };
-    std::vector<Frag> fragments;
-    for (Generation& gen : generations) {
-      if (gen.evicted) {
-        fragments.push_back(Frag{std::move(gen), units.size()});
-      } else {
-        units.push_back(std::move(gen));
-      }
-    }
-    auto contains_key = [num_streams](const Generation& g, JoinKey key) {
-      for (int s = 0; s < num_streams; ++s) {
-        const auto& table = g.keys[static_cast<size_t>(s)];
-        if (table.find(key) != table.end()) return true;
-      }
-      return false;
-    };
-    Generation trailing;
-    trailing.keys.resize(static_cast<size_t>(num_streams));
-    bool has_trailing = false;
-    for (Frag& frag : fragments) {
-      // Byte/tuple attribution keeps the old whole-fragment rule; it
-      // only steers the home choice and the tick cost model.
-      if (frag.next_unit < units.size()) {
-        units[frag.next_unit].bytes += frag.gen.bytes;
-        units[frag.next_unit].tuple_count += frag.gen.tuple_count;
-      } else {
-        trailing.home = frag.gen.home;
-        trailing.bytes += frag.gen.bytes;
-        trailing.tuple_count += frag.gen.tuple_count;
-      }
-      for (int s = 0; s < num_streams; ++s) {
-        for (auto& [key, refs] : frag.gen.keys[static_cast<size_t>(s)]) {
-          Generation* target = nullptr;
-          for (size_t u = frag.next_unit; u < units.size(); ++u) {
-            if (contains_key(units[u], key)) {
-              target = &units[u];
-              break;
-            }
-          }
-          std::vector<MemberRef>* bucket;
-          if (target != nullptr) {
-            bucket = &target->keys[static_cast<size_t>(s)][key];
-          } else {
-            has_trailing = true;
-            bucket = &trailing.keys[static_cast<size_t>(s)][key];
-          }
-          bucket->insert(bucket->end(), refs.begin(), refs.end());
-        }
-      }
-    }
-    if (has_trailing) units.push_back(std::move(trailing));
-    generations = std::move(units);
-  }
-  if (generations.size() < 2) return outcome;
-
-  // The partition's cleanup home: the engine holding most of its bytes.
-  std::map<EngineId, int64_t> bytes_at;
-  for (const Generation& gen : generations) bytes_at[gen.home] += gen.bytes;
-  EngineId home = generations.front().home;
-  int64_t best = -1;
-  for (const auto& [engine, bytes] : bytes_at) {
-    if (bytes > best) {
-      best = bytes;
-      home = engine;
-    }
-  }
-  outcome.home = home;
-  // Remote generations must travel to the home over the network.
-  for (const Generation& gen : generations) {
-    if (gen.home != home) {
-      outcome.home_ticks += (gen.bytes + config.network_bytes_per_tick - 1) /
-                            config.network_bytes_per_tick;
-    }
-  }
-
-  // Cumulative tables C per stream.
-  std::vector<std::unordered_map<JoinKey, std::vector<MemberRef>>> cumulative(
-      static_cast<size_t>(num_streams));
-
-  for (size_t g = 0; g < generations.size(); ++g) {
-    const Generation& delta = generations[g];
-    if (g > 0) {
-      // Emit Π(C∪Δ) − Π(C) − Π(Δ): every non-empty, non-full choice of
-      // "this stream's member comes from Δ".
-      const uint32_t full = (1u << num_streams) - 1;
-      for (uint32_t mask = 1; mask < full; ++mask) {
-        // Iterate keys of the smallest Δ-side stream in the mask.
-        int seed_stream = -1;
-        for (int s = 0; s < num_streams; ++s) {
-          if ((mask >> s) & 1u) {
-            if (seed_stream < 0 ||
-                delta.keys[static_cast<size_t>(s)].size() <
-                    delta.keys[static_cast<size_t>(seed_stream)].size()) {
-              seed_stream = s;
-            }
-          }
-        }
-        DCAPE_CHECK_GE(seed_stream, 0);
-        for (const auto& [key, seed_refs] :
-             delta.keys[static_cast<size_t>(seed_stream)]) {
-          // Gather the member lists per stream for this key.
-          std::vector<const std::vector<MemberRef>*> lists(
-              static_cast<size_t>(num_streams), nullptr);
-          bool all_present = true;
-          for (int s = 0; s < num_streams && all_present; ++s) {
-            const auto& source = ((mask >> s) & 1u)
-                                     ? delta.keys[static_cast<size_t>(s)]
-                                     : cumulative[static_cast<size_t>(s)];
-            auto it = source.find(key);
-            if (it == source.end() || it->second.empty()) {
-              all_present = false;
-            } else {
-              lists[static_cast<size_t>(s)] = &it->second;
-            }
-          }
-          if (!all_present) continue;
-
-          // Odometer over the m lists.
-          std::vector<size_t> cursor(static_cast<size_t>(num_streams), 0);
-          JoinResult result;
-          result.partition = partition;
-          result.join_key = key;
-          result.member_seqs.assign(static_cast<size_t>(num_streams), 0);
-          while (true) {
-            int64_t agg = 0;
-            bool first_member = true;
-            Tick min_ts = 0;
-            Tick max_ts = 0;
-            bool first_ts = true;
-            for (int s = 0; s < num_streams; ++s) {
-              const MemberRef& member =
-                  (*lists[static_cast<size_t>(s)])[cursor[
-                      static_cast<size_t>(s)]];
-              result.member_seqs[static_cast<size_t>(s)] = member.seq;
-              if (first_ts) {
-                min_ts = max_ts = member.timestamp;
-                first_ts = false;
-              } else {
-                min_ts = std::min(min_ts, member.timestamp);
-                max_ts = std::max(max_ts, member.timestamp);
-              }
-              if (config.projection.has_value()) {
-                if (s == config.projection->group_stream) {
-                  result.group_key = member.category;
-                }
-                agg = FoldAggregate(config.projection->op, agg, member.value,
-                                    first_member);
-                first_member = false;
-              }
-            }
-            if (config.window_ticks <= 0 ||
-                max_ts - min_ts <= config.window_ticks) {
-              if (config.projection.has_value()) result.agg_value = agg;
-              result.latest_member_ts = max_ts;
-              outcome.produced += 1;
-              if (config.collect_results) outcome.results.push_back(result);
-            }
-
-            int s = num_streams - 1;
-            for (; s >= 0; --s) {
-              size_t& c = cursor[static_cast<size_t>(s)];
-              if (++c < lists[static_cast<size_t>(s)]->size()) break;
-              c = 0;
-            }
-            if (s < 0) break;
-          }
-        }
-      }
-    }
-    // Merge Δ into C.
-    for (int s = 0; s < num_streams; ++s) {
-      auto& dst = cumulative[static_cast<size_t>(s)];
-      for (const auto& [key, refs] : delta.keys[static_cast<size_t>(s)]) {
-        std::vector<MemberRef>& bucket = dst[key];
-        bucket.insert(bucket.end(), refs.begin(), refs.end());
-      }
-    }
-  }
-
-  if (outcome.produced > 0) {
-    outcome.home_ticks += (outcome.produced + config.results_per_tick - 1) /
-                          config.results_per_tick;
-  }
-  return outcome;
-}
-
-// ---------------------------------------------------------------------
-// Streaming pipeline (CleanupMode::kStream).
-// ---------------------------------------------------------------------
-
-/// One generation as the streaming merge sees it *before* any data is
-/// read: metadata plus a handle to open cursors from. Exactly one of
+/// One generation of a partition as the merge sees it *before* any data
+/// is read: metadata plus a handle to open cursors from. Exactly one of
 /// (store, meta) / group is set.
-struct StreamSource {
+struct GenerationSource {
   EngineId home = 0;
+  /// An eviction *fragment*: window-expired tuples preserved because
+  /// their partition had disk generations. A fragment belongs to the
+  /// logical generation it was evicted from, which ends at the next spill
+  /// (or the memory remainder), so its tuples join that generation before
+  /// the incremental merge: combinations inside one logical generation —
+  /// produced at run time or outside the window — are then exactly the
+  /// excluded all-Δ term.
   bool evicted = false;
+  /// Ordering key: spill time for disk generations; memory remainders
+  /// sort last.
   Tick order_time = 0;
   int64_t order_tiebreak = 0;
   int64_t bytes = 0;
@@ -350,17 +77,14 @@ struct StreamSource {
   const PartitionGroup* group = nullptr;
 };
 
-/// The work item the stream dispatcher hands a pool lane.
-struct StreamWork {
+/// The work item the dispatcher hands a pool lane.
+struct PartitionWork {
   PartitionId partition = 0;
-  std::vector<StreamSource> sources;
+  std::vector<GenerationSource> sources;
 };
 
 /// A source with its per-stream cursors opened.
 struct OpenSource {
-  const StreamSource* src = nullptr;
-  /// Whole-read fallback for segments without a section index.
-  std::unique_ptr<PartitionGroup> owned;
   std::vector<std::unique_ptr<KeyRunCursor>> cursors;  // one per stream
   std::vector<bool> active;  // cursor currently holds a key run
   /// Units count 0..U-1 in sorted order; fragments carry the index of
@@ -369,86 +93,61 @@ struct OpenSource {
   size_t unit_index = 0;
 };
 
-/// Opens the per-stream cursors of one source. Blockwise section
-/// cursors when the segment has a section index; MemoryGenCursor over
-/// the remainder group, or over a whole-read fallback otherwise.
-Status OpenCursors(const CleanupConfig& config, int num_streams,
-                   const StreamSource& src, IoExecutor* io,
-                   MemoryTracker* tracker, BlockIoStats* io_stats,
-                   OpenSource* open) {
-  open->src = &src;
+/// Opens the per-stream cursors of one source: blockwise section cursors
+/// over a disk generation's segment (Run has checked its section index),
+/// MemoryGenCursor over a memory remainder.
+void OpenCursors(const CleanupConfig& config, int num_streams,
+                 const GenerationSource& src, IoExecutor* io,
+                 MemoryTracker* tracker, BlockIoStats* io_stats,
+                 OpenSource* open) {
   open->cursors.resize(static_cast<size_t>(num_streams));
   open->active.assign(static_cast<size_t>(num_streams), false);
-  const PartitionGroup* group = src.group;
-  if (group == nullptr) {
-    const SegmentSections& sections = src.meta->sections;
-    if (!sections.offsets.empty()) {
-      if (sections.num_streams != num_streams) {
-        return Status::InvalidArgument(
-            "spilled group stream count mismatch during cleanup");
-      }
-      for (int s = 0; s < num_streams; ++s) {
-        const int64_t begin = sections.offsets[static_cast<size_t>(s)];
-        const int64_t end = sections.offsets[static_cast<size_t>(s) + 1];
-        auto fetcher = std::make_unique<BlockFetcher>(
-            io,
-            [store = src.store, meta = src.meta](int64_t offset, int64_t len) {
-              return store->ReadSegmentRange(*meta, offset, len);
-            },
-            begin, end, config.block_bytes, tracker, io_stats);
-        auto reader =
-            std::make_unique<BlockedReader>(std::move(fetcher), tracker);
-        if (sections.format == SegmentFormat::kV2) {
-          open->cursors[static_cast<size_t>(s)] =
-              std::make_unique<V2SectionCursor>(std::move(reader), tracker);
-        } else {
-          open->cursors[static_cast<size_t>(s)] =
-              std::make_unique<V1SectionCursor>(
-                  std::move(reader), static_cast<StreamId>(s), tracker);
-        }
-      }
-      return Status::OK();
-    }
-    // No section index (not a well-formed group segment — raw test
-    // blobs): fall back to a whole read of this one segment.
-    DCAPE_ASSIGN_OR_RETURN(std::string blob,
-                           src.store->ReadSegment(*src.meta));
-    DCAPE_ASSIGN_OR_RETURN(PartitionGroup parsed,
-                           PartitionGroup::Deserialize(blob));
-    if (parsed.num_streams() != num_streams) {
-      return Status::InvalidArgument(
-          "spilled group stream count mismatch during cleanup");
-    }
-    open->owned = std::make_unique<PartitionGroup>(std::move(parsed));
-    group = open->owned.get();
-  }
   for (int s = 0; s < num_streams; ++s) {
-    open->cursors[static_cast<size_t>(s)] = std::make_unique<MemoryGenCursor>(
-        group, static_cast<StreamId>(s), tracker);
+    std::unique_ptr<KeyRunCursor>& cursor =
+        open->cursors[static_cast<size_t>(s)];
+    if (src.group != nullptr) {
+      cursor = std::make_unique<MemoryGenCursor>(
+          src.group, static_cast<StreamId>(s), tracker);
+      continue;
+    }
+    const SegmentSections& sections = src.meta->sections;
+    const int64_t begin = sections.offsets[static_cast<size_t>(s)];
+    const int64_t end = sections.offsets[static_cast<size_t>(s) + 1];
+    auto fetcher = std::make_unique<BlockFetcher>(
+        io,
+        [store = src.store, meta = src.meta](int64_t offset, int64_t len) {
+          return store->ReadSegmentRange(*meta, offset, len);
+        },
+        begin, end, config.block_bytes, tracker, io_stats);
+    auto reader = std::make_unique<BlockedReader>(std::move(fetcher), tracker);
+    if (sections.format == SegmentFormat::kV2) {
+      cursor = std::make_unique<V2SectionCursor>(std::move(reader), tracker);
+    } else {
+      cursor = std::make_unique<V1SectionCursor>(
+          std::move(reader), static_cast<StreamId>(s), tracker);
+    }
   }
-  return Status::OK();
 }
 
-/// The streaming counterpart of ProcessPartition: the same generation
-/// ordering, per-key fragment coalescing, Π(C∪Δ)−Π(C)−Π(Δ) expansion,
-/// and tick model, evaluated key-by-key over a k-way merge of section
-/// cursors so resident memory stays O(in-flight blocks + current key).
-/// Emits the same result multiset as the materialized path (in
-/// ascending key order instead of per-generation order; deterministic
-/// within the mode).
-PartitionOutcome ProcessPartitionStream(const CleanupConfig& config,
-                                        int num_streams,
-                                        const StreamWork& work,
-                                        IoExecutor* io, MemoryTracker* tracker,
-                                        BlockIoStats* io_stats,
-                                        Mutex* sink_mu) {
+/// Tasks (2)+(3) of §3 for one partition: order its generations, route
+/// eviction fragments, pick the cleanup home, and emit the
+/// cross-generation results Π(C∪Δ)−Π(C)−Π(Δ). Evaluated key-by-key over
+/// a k-way merge of the generations' cursors, so resident memory stays
+/// O(in-flight blocks + current key); results come out in ascending
+/// (key, generation, mask) order. Partitions share only the atomic
+/// tracker and I/O counters, the prefetch executor and the sink mutex,
+/// which is what makes the parallel dispatch race-free.
+PartitionOutcome ProcessPartition(const CleanupConfig& config,
+                                  int num_streams, const PartitionWork& work,
+                                  IoExecutor* io, MemoryTracker* tracker,
+                                  BlockIoStats* io_stats, Mutex* sink_mu) {
   PartitionOutcome outcome;
   if (work.sources.size() < 2) return outcome;
-  std::vector<const StreamSource*> sources;
+  std::vector<const GenerationSource*> sources;
   sources.reserve(work.sources.size());
-  for (const StreamSource& src : work.sources) sources.push_back(&src);
+  for (const GenerationSource& src : work.sources) sources.push_back(&src);
   std::sort(sources.begin(), sources.end(),
-            [](const StreamSource* a, const StreamSource* b) {
+            [](const GenerationSource* a, const GenerationSource* b) {
               if (a->order_time != b->order_time) {
                 return a->order_time < b->order_time;
               }
@@ -462,8 +161,8 @@ PartitionOutcome ProcessPartitionStream(const CleanupConfig& config,
   for (size_t i = 0; i < sources.size(); ++i) {
     opened[i].is_unit = !sources[i]->evicted;
     // For units: their own ordinal. For fragments: the index of the
-    // next unit in sorted order (the start of their per-key coalescing
-    // search range), as in the materialized coalescer.
+    // next unit in sorted order (the start of their per-key search
+    // range).
     opened[i].unit_index = num_units;
     if (opened[i].is_unit) ++num_units;
   }
@@ -490,8 +189,8 @@ PartitionOutcome ProcessPartitionStream(const CleanupConfig& config,
   Status merge_status = [&]() -> Status {
     for (OpenSource& open : opened) {
       const size_t i = static_cast<size_t>(&open - opened.data());
-      DCAPE_RETURN_IF_ERROR(OpenCursors(config, num_streams, *sources[i], io,
-                                        tracker, io_stats, &open));
+      OpenCursors(config, num_streams, *sources[i], io, tracker, io_stats,
+                  &open);
       for (size_t s = 0; s < m; ++s) {
         DCAPE_ASSIGN_OR_RETURN(bool more, open.cursors[s]->Advance());
         open.active[s] = more;
@@ -520,11 +219,10 @@ PartitionOutcome ProcessPartitionStream(const CleanupConfig& config,
       for (auto& list : cum) list.clear();
 
       // Gather the units' own runs at this key. A unit "contains" the
-      // key iff one of its cursors is at it — fragment routing below
-      // tests containment against these original runs, which matches
-      // the materialized coalescer: it only ever appends a fragment
-      // into a unit that already contains the key, so merging never
-      // grows a unit's key set.
+      // key iff one of its cursors is at it; fragment routing below
+      // tests containment against these original runs only (a fragment
+      // only ever lands in a unit that already holds the key, so
+      // routing never grows a unit's key set).
       std::vector<bool> unit_has_key(num_units, false);
       for (const OpenSource& open : opened) {
         if (!open.is_unit) continue;
@@ -536,10 +234,16 @@ PartitionOutcome ProcessPartitionStream(const CleanupConfig& config,
           charge(static_cast<int64_t>(members.size()));
         }
       }
-      // Route fragment runs: first unit at or after the fragment that
-      // contains the key, else the trailing unit. Fragments append in
-      // sorted order, after the unit's own members — the same bucket
-      // order the materialized coalescer produces.
+      // Route fragment runs per key. A partial (bucket-granular) spill
+      // carries only the cold keys while a fragment tuple's runtime
+      // partners stay in the hot residue and surface in a later
+      // generation, so the logical generation a fragment key closes in
+      // is the first unit at or after the fragment that contains the
+      // key (for whole-group spills, simply the next unit). Keys no
+      // later unit contains form one trailing unit: within a key, pairs
+      // that never coexisted in memory are separated by more than the
+      // window and excluded by the span check either way. Fragments
+      // append in sorted order, after the unit's own members.
       for (const OpenSource& open : opened) {
         if (open.is_unit) continue;
         for (size_t s = 0; s < m; ++s) {
@@ -669,8 +373,10 @@ PartitionOutcome ProcessPartitionStream(const CleanupConfig& config,
 
   // Tick model, deferred to after the merge (has_trailing — whether the
   // conceptual trailing generation has any content — is only known
-  // now). Byte attribution follows the materialized coalescer's
-  // whole-fragment rule, computable from metadata alone.
+  // now). Bytes are attributed per whole fragment, from metadata alone:
+  // a fragment's bytes count toward the next unit after it, or toward
+  // the trailing unit (held by the last such fragment's engine) when
+  // none follows. They only steer the home choice and the tick model.
   std::vector<int64_t> unit_bytes;
   std::vector<EngineId> unit_home;
   unit_bytes.reserve(num_units);
@@ -744,114 +450,6 @@ StatusOr<CleanupStats> CleanupProcessor::Run(
     const std::vector<const SpillStore*>& spill_stores,
     const std::vector<const StateManager*>& state_managers,
     ExecPool* pool) const {
-  if (config_.mode == CleanupMode::kMaterialize) {
-    return RunMaterialize(spill_stores, state_managers, pool);
-  }
-  return RunStream(spill_stores, state_managers, pool);
-}
-
-StatusOr<CleanupStats> CleanupProcessor::RunMaterialize(
-    const std::vector<const SpillStore*>& spill_stores,
-    const std::vector<const StateManager*>& state_managers,
-    ExecPool* pool) const {
-  CleanupStats stats;
-  const size_t num_engines =
-      std::max(spill_stores.size(), state_managers.size());
-  stats.engine_ticks.assign(num_engines, 0);
-
-  // ---- Task (1) of §3: organize disk-resident generations by partition.
-  std::map<PartitionId, std::vector<Generation>> partitions;
-  for (size_t e = 0; e < spill_stores.size(); ++e) {
-    const SpillStore* store = spill_stores[e];
-    if (store == nullptr) continue;
-    for (const SpillSegmentMeta& meta : store->segments()) {
-      // The metadata already says an empty generation contributes
-      // nothing: skip it before reading so no virtual I/O is charged
-      // for bytes nobody needed.
-      if (meta.tuple_count == 0) continue;
-      Tick io_ticks = 0;
-      DCAPE_ASSIGN_OR_RETURN(std::string blob,
-                             store->ReadSegment(meta, &io_ticks));
-      DCAPE_ASSIGN_OR_RETURN(PartitionGroup group,
-                             PartitionGroup::Deserialize(blob));
-      if (group.num_streams() != num_streams_) {
-        return Status::InvalidArgument(
-            "spilled group stream count mismatch during cleanup");
-      }
-      // Disk read happens at the engine owning the segment.
-      stats.engine_ticks[e] += io_ticks;
-      stats.segments_read += 1;
-      stats.bytes_read += meta.bytes;
-      if (group.tuple_count() == 0) continue;
-      Generation gen =
-          FromGroup(group, static_cast<EngineId>(e), meta.spill_time,
-                    meta.segment_id, meta.bytes);
-      gen.evicted = meta.evicted;
-      partitions[meta.partition].push_back(std::move(gen));
-    }
-  }
-
-  // Memory-resident remainders participate as the final generation.
-  for (size_t e = 0; e < state_managers.size(); ++e) {
-    const StateManager* state = state_managers[e];
-    if (state == nullptr) continue;
-    for (PartitionId p : state->PartitionIds()) {
-      const PartitionGroup* group = state->FindGroup(p);
-      if (group == nullptr || group->tuple_count() == 0) continue;
-      // A partition id this engine holds in memory only matters if disk
-      // generations exist somewhere; single-generation partitions have no
-      // missing results and are skipped below.
-      partitions[p].push_back(FromGroup(
-          *group, static_cast<EngineId>(e),
-          std::numeric_limits<Tick>::max(), static_cast<int64_t>(e),
-          group->bytes()));
-    }
-  }
-
-  // ---- Tasks (2)+(3): per partition, merge generations in order and
-  // emit the cross-generation results. Each partition is independent, so
-  // the merges dispatch across the pool; outcomes fold back into the
-  // stats in ascending-partition order (the std::map order the serial
-  // loop used), keeping stats and result ordering bit-identical for any
-  // worker count.
-  std::vector<std::pair<PartitionId, std::vector<Generation>>> work;
-  work.reserve(partitions.size());
-  for (auto& [partition, generations] : partitions) {
-    work.emplace_back(partition, std::move(generations));
-  }
-  std::vector<PartitionOutcome> outcomes(work.size());
-  const auto process = [&](int i) {
-    outcomes[static_cast<size_t>(i)] =
-        ProcessPartition(config_, num_streams_,
-                         work[static_cast<size_t>(i)].first,
-                         &work[static_cast<size_t>(i)].second);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int>(work.size()), process);
-  } else {
-    for (int i = 0; i < static_cast<int>(work.size()); ++i) process(i);
-  }
-
-  for (PartitionOutcome& outcome : outcomes) {
-    if (outcome.home_ticks > 0) {
-      stats.engine_ticks[static_cast<size_t>(outcome.home)] +=
-          outcome.home_ticks;
-    }
-    stats.result_count += outcome.produced;
-    if (outcome.produced > 0) stats.partitions_cleaned += 1;
-  }
-  if (config_.collect_results) stats.results = GatherResults(&outcomes);
-
-  for (Tick t : stats.engine_ticks) {
-    stats.total_ticks = std::max(stats.total_ticks, t);
-  }
-  return stats;
-}
-
-StatusOr<CleanupStats> CleanupProcessor::RunStream(
-    const std::vector<const SpillStore*>& spill_stores,
-    const std::vector<const StateManager*>& state_managers,
-    ExecPool* pool) const {
   CleanupStats stats;
   const size_t num_engines =
       std::max(spill_stores.size(), state_managers.size());
@@ -860,24 +458,28 @@ StatusOr<CleanupStats> CleanupProcessor::RunStream(
   // ---- Task (1) of §3, metadata-only: organize the generations by
   // partition and charge the virtual read cost per segment up front —
   // the cost model reads whole segments regardless of how the bytes
-  // arrive, so stats match the materialized pipeline exactly while the
-  // actual reads happen blockwise inside the merge.
-  std::map<PartitionId, StreamWork> partitions;
+  // arrive, while the actual reads happen blockwise inside the merge.
+  std::map<PartitionId, PartitionWork> partitions;
   for (size_t e = 0; e < spill_stores.size(); ++e) {
     const SpillStore* store = spill_stores[e];
     if (store == nullptr) continue;
     const int64_t read_bw = store->config().read_bytes_per_tick;
     for (const SpillSegmentMeta& meta : store->segments()) {
       if (meta.tuple_count == 0) continue;
-      if (!meta.sections.offsets.empty() &&
-          meta.sections.num_streams != num_streams_) {
+      // Cursors range-read the per-stream sections SpillStore indexed at
+      // write time; a segment without an index is not a group blob.
+      if (meta.sections.offsets.empty()) {
+        return Status::InvalidArgument(
+            "spilled segment without a section index during cleanup");
+      }
+      if (meta.sections.num_streams != num_streams_) {
         return Status::InvalidArgument(
             "spilled group stream count mismatch during cleanup");
       }
       stats.engine_ticks[e] += (meta.bytes + read_bw - 1) / read_bw;
       stats.segments_read += 1;
       stats.bytes_read += meta.bytes;
-      StreamSource src;
+      GenerationSource src;
       src.home = static_cast<EngineId>(e);
       src.evicted = meta.evicted;
       src.order_time = meta.spill_time;
@@ -885,7 +487,7 @@ StatusOr<CleanupStats> CleanupProcessor::RunStream(
       src.bytes = meta.bytes;
       src.store = store;
       src.meta = &meta;
-      StreamWork& work = partitions[meta.partition];
+      PartitionWork& work = partitions[meta.partition];
       work.partition = meta.partition;
       work.sources.push_back(src);
     }
@@ -898,13 +500,13 @@ StatusOr<CleanupStats> CleanupProcessor::RunStream(
     for (PartitionId p : state->PartitionIds()) {
       const PartitionGroup* group = state->FindGroup(p);
       if (group == nullptr || group->tuple_count() == 0) continue;
-      StreamSource src;
+      GenerationSource src;
       src.home = static_cast<EngineId>(e);
       src.order_time = std::numeric_limits<Tick>::max();
       src.order_tiebreak = static_cast<int64_t>(e);
       src.bytes = group->bytes();
       src.group = group;
-      StreamWork& work = partitions[p];
+      PartitionWork& work = partitions[p];
       work.partition = p;
       work.sources.push_back(src);
     }
@@ -920,14 +522,14 @@ StatusOr<CleanupStats> CleanupProcessor::RunStream(
   BlockIoStats io_stats;
   Mutex sink_mu;
 
-  std::vector<StreamWork> work;
+  std::vector<PartitionWork> work;
   work.reserve(partitions.size());
   for (auto& entry : partitions) {
     work.push_back(std::move(entry.second));
   }
   std::vector<PartitionOutcome> outcomes(work.size());
   const auto process = [&](int i) {
-    outcomes[static_cast<size_t>(i)] = ProcessPartitionStream(
+    outcomes[static_cast<size_t>(i)] = ProcessPartition(
         config_, num_streams_, work[static_cast<size_t>(i)], &prefetch_io,
         &tracker, &io_stats, &sink_mu);
   };

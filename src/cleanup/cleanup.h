@@ -18,21 +18,6 @@ namespace dcape {
 
 class ExecPool;
 
-/// How the cleanup phase consumes the spilled generations.
-enum class CleanupMode {
-  /// Streaming pipeline (default): per-partition k-way merge over block
-  /// cursors that decode segments incrementally in sorted key order,
-  /// with double-buffered async prefetch. Resident memory is O(in-flight
-  /// blocks + current key), not O(spilled state). Emits results in
-  /// ascending (partition, key, generation, mask) order — a different
-  /// order than kMaterialize but the identical multiset, and
-  /// bit-identical across `--threads=N` within the mode.
-  kStream,
-  /// Legacy baseline: materialize every generation in RAM up front,
-  /// then merge. Kept one PR as the differential oracle for kStream.
-  kMaterialize,
-};
-
 /// Cost model and options for the cleanup phase.
 struct CleanupConfig {
   /// Post-join projection; must match the runtime engines' projection so
@@ -49,10 +34,8 @@ struct CleanupConfig {
   /// Retain the produced results (tests / small runs). Counting always
   /// happens.
   bool collect_results = true;
-  /// Pipeline selection (see CleanupMode).
-  CleanupMode mode = CleanupMode::kStream;
-  /// Block size of the streaming cursors (kStream only). Each open
-  /// (generation, stream) cursor keeps at most two blocks in flight.
+  /// Block size of the streaming cursors. Each open (generation, stream)
+  /// cursor keeps at most two blocks in flight.
   int64_t block_bytes = 64 * 1024;
   /// Optional streaming result sink: called once per produced result as
   /// the merge emits it, without accumulating it anywhere — with
@@ -82,7 +65,7 @@ struct CleanupStats {
   /// Produced results, when `collect_results` is set.
   std::vector<JoinResult> results;
 
-  // Streaming-pipeline accounting (kStream; all 0 under kMaterialize).
+  // Streaming-merge accounting.
   /// Block prefetches issued. A pure function of the segment layouts
   /// and block size — deterministic across thread counts.
   int64_t blocks_prefetched = 0;
@@ -117,14 +100,14 @@ struct CleanupStats {
 /// cross-generation terms Π(C∪Δ) − Π(C) − Π(Δ) are enumerated by subset
 /// expansion (the all-Δ term is what the run-time phase already emitted).
 ///
-/// In kStream mode (docs/CLEANUP.md) the same algebra runs key-by-key:
-/// every (generation, stream) pair is a cursor yielding key runs in
-/// ascending key order (v2 sections are written key-sorted; v1 sections
-/// are key-contiguous; memory remainders iterate sorted keys), and the
-/// k-way merge holds only the current key's member lists. Eviction
-/// fragments coalesce per key into the next non-evicted generation
-/// containing that key — the rule is already per-key, so it localizes
-/// into the merge unchanged.
+/// The algebra runs key-by-key (docs/CLEANUP.md): every (generation,
+/// stream) pair is a cursor yielding key runs in ascending key order (v2
+/// sections are written key-sorted; v1 sections are key-contiguous;
+/// memory remainders iterate sorted keys), and a k-way merge of the
+/// cursors holds only the current key's member lists, so resident memory
+/// is O(in-flight blocks + current key), not O(spilled state). Eviction
+/// fragments join, per key, the first non-evicted generation at or after
+/// them that contains that key (one trailing unit when none does).
 class CleanupProcessor {
  public:
   CleanupProcessor(const CleanupConfig& config, int num_streams);
@@ -132,28 +115,23 @@ class CleanupProcessor {
   /// Runs cleanup over every engine's spill store and memory remainder.
   /// `spill_stores[e]` / `state_managers[e]` belong to engine e; null
   /// entries are allowed (engine without disk or already-drained state).
+  /// Every non-empty segment must carry a section index (SpillStore
+  /// indexes every well-formed group blob it writes); one without it, or
+  /// with another stream count, fails with InvalidArgument before any
+  /// read.
   ///
   /// With `pool`, the per-partition merge loop is distributed over the
   /// pool's lanes. Partitions are independent (each owns its
   /// generations), and per-partition outcomes are merged back in fixed
-  /// partition order, so CleanupStats and the result vector are
-  /// bit-identical to the serial run for any worker count (within one
-  /// mode; see CleanupMode for the cross-mode order caveat).
+  /// partition order, so CleanupStats and the result vector — ascending
+  /// (partition, key, generation, mask) order — are bit-identical to the
+  /// serial run for any worker count.
   [[nodiscard]] StatusOr<CleanupStats> Run(
       const std::vector<const SpillStore*>& spill_stores,
       const std::vector<const StateManager*>& state_managers,
       ExecPool* pool = nullptr) const;
 
  private:
-  [[nodiscard]] StatusOr<CleanupStats> RunMaterialize(
-      const std::vector<const SpillStore*>& spill_stores,
-      const std::vector<const StateManager*>& state_managers,
-      ExecPool* pool) const;
-  [[nodiscard]] StatusOr<CleanupStats> RunStream(
-      const std::vector<const SpillStore*>& spill_stores,
-      const std::vector<const StateManager*>& state_managers,
-      ExecPool* pool) const;
-
   CleanupConfig config_;
   int num_streams_;
 };

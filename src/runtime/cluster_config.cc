@@ -190,12 +190,6 @@ ClusterConfig::Builder& ClusterConfig::Builder::SetTraceVerbose(
   return MarkSet("--trace-verbose");
 }
 
-ClusterConfig::Builder& ClusterConfig::Builder::SetCleanupMode(
-    CleanupMode mode) {
-  config_.cleanup.mode = mode;
-  return MarkSet("--cleanup-mode");
-}
-
 ClusterConfig::Builder& ClusterConfig::Builder::SetCleanupBlockKib(
     int64_t kib) {
   config_.cleanup.block_bytes = kib * 1024;

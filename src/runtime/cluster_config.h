@@ -191,7 +191,6 @@ class ClusterConfig::Builder {
   Builder& SetEwmaAlpha(double alpha);
   Builder& SetTrace(bool enabled);
   Builder& SetTraceVerbose(bool enabled);
-  Builder& SetCleanupMode(CleanupMode mode);
   Builder& SetCleanupBlockKib(int64_t kib);
 
   /// Escape hatch for fields without a dedicated setter (workload

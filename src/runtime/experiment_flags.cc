@@ -229,15 +229,6 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(
         return Status::InvalidArgument(
             "--segment-format must be v1 or v2");
       }
-    } else if (key == "--cleanup-mode") {
-      if (value == "stream") {
-        config.cleanup.mode = CleanupMode::kStream;
-      } else if (value == "materialize") {
-        config.cleanup.mode = CleanupMode::kMaterialize;
-      } else {
-        return Status::InvalidArgument(
-            "--cleanup-mode must be stream or materialize");
-      }
     } else if (key == "--cleanup-block-kib") {
       DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
       config.cleanup.block_bytes = v * kKiB;
@@ -366,10 +357,8 @@ storage:
   --file-backend         spill to real files under a temp dir
   --async-io             background thread for real spill writes
                          (virtual-time results are identical)
-  --cleanup-mode=M       cleanup pipeline (docs/CLEANUP.md):
-                         stream (bounded memory) | materialize
-                         (legacy baseline; same result multiset) [stream]
-  --cleanup-block-kib=N  streaming-cleanup block size             [64]
+  --cleanup-block-kib=N  cleanup merge block size: segments are read
+                         in blocks of N KiB (docs/CLEANUP.md)     [64]
 
 realtime (docs/REALTIME.md):
   --realtime             free-running wall-clock driver: one thread per

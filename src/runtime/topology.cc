@@ -217,8 +217,7 @@ Topology::Topology(const ClusterConfig& config, Transport* transport,
     auto& batch = std::get<ResultBatch>(m.payload);
     if (sink_hook_) sink_hook_(batch);
     if (aggregate_ != nullptr) aggregate_->ConsumeAll(batch.results);
-    union_op_.Add(std::move(batch.results));
-    sink_.Consume(now, union_op_.Drain());
+    sink_.Consume(now, batch.results);
   });
 
   memory_series_.resize(static_cast<size_t>(config_.num_engines));

@@ -21,7 +21,6 @@
 #include "obs/trace.h"
 #include "operators/aggregate.h"
 #include "operators/sink.h"
-#include "operators/union_op.h"
 #include "runtime/cluster_config.h"
 #include "runtime/exec_pool.h"
 #include "runtime/generator_node.h"
@@ -142,12 +141,11 @@ class Topology {
   std::unique_ptr<GlobalCoordinator> coordinator_;
   std::vector<std::unique_ptr<SplitHost>> split_hosts_;
   std::unique_ptr<GeneratorNode> generator_;
-  UnionOp union_op_;
   ResultSink sink_;
   std::unique_ptr<GroupByAggregate> aggregate_;
   SinkHook sink_hook_;
   /// cleanup.* gauges, registered on the first RunCleanup (streaming
-  /// pipeline observability; all zero under --cleanup-mode=materialize).
+  /// merge observability).
   obs::Gauge* cleanup_peak_gauge_ = nullptr;
   obs::Gauge* cleanup_blocks_gauge_ = nullptr;
   obs::Gauge* cleanup_stalls_gauge_ = nullptr;

@@ -190,17 +190,13 @@ Scenario GenerateScenario(uint64_t seed) {
   }
 
   // Streaming-cleanup coverage: vary the block size the k-way merge
-  // prefetches in, occasionally fall back to the materializing baseline,
-  // and inject block-granular faults that persist through Heal() — the
-  // fetcher's retry budget must keep them output-transparent.
+  // prefetches in, and inject block-granular faults that persist through
+  // Heal() — the fetcher's retry budget must keep them
+  // output-transparent.
   config.cleanup.block_bytes = static_cast<int64_t>(256)
                                << rng.Uniform(4);  // 256 B .. 2 KiB
   flag("--cleanup-block-kib=" +
        FormatDouble(static_cast<double>(config.cleanup.block_bytes) / kKiB));
-  if (chance(0.25)) {
-    config.cleanup.mode = CleanupMode::kMaterialize;
-    flag("--cleanup-mode=materialize");
-  }
   if (chance(0.3)) {
     faults.block_read_error_prob = pick_double(0.01, 0.08);
     faults.block_corrupt_prob = pick_double(0.01, 0.06);

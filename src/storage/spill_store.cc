@@ -79,7 +79,7 @@ StatusOr<Tick> SpillStore::WriteSegment(PartitionId partition, Tick now,
   // Index the blob's per-stream sections while it is still in memory so
   // the streaming cleanup can range-read it later. A blob that is not a
   // well-formed group segment (raw bytes in storage tests) is stored
-  // with an empty index; cleanup falls back to a whole-segment read.
+  // with an empty index, which cleanup rejects.
   if (StatusOr<SegmentSections> sections = ScanSegmentSections(blob);
       sections.ok()) {
     meta.sections = std::move(sections).value();

@@ -56,8 +56,8 @@ struct SpillSegmentMeta {
   std::string object_name;
   /// Per-stream section layout of the blob, scanned once at write time
   /// (storage/segment_index.h). Empty `sections.offsets` means the blob
-  /// was not a well-formed group segment (raw test blobs); the streaming
-  /// cleanup then falls back to a whole-segment read.
+  /// was not a well-formed group segment (raw test blobs); cleanup
+  /// rejects such a segment with InvalidArgument before reading it.
   SegmentSections sections;
 };
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "runtime/cluster.h"
 #include "tests/test_util.h"
 
@@ -60,7 +62,11 @@ TEST_P(ArityExactness, ResultsHaveOneMemberPerStream) {
 INSTANTIATE_TEST_SUITE_P(AritySweep, ArityExactness,
                          ::testing::Values(2, 4, 5),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "m" + std::to_string(info.param);
+                           // Appending instead of `"m" + ...` sidesteps
+                           // GCC 12's false -Werror=restrict in Release.
+                           std::string name = "m";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "operators/sink.h"
-#include "operators/union_op.h"
 
 namespace dcape {
 namespace {
@@ -12,25 +11,6 @@ JoinResult MakeResult(PartitionId p, int64_t seq) {
   r.join_key = p * 10;
   r.member_seqs = {seq, seq + 1};
   return r;
-}
-
-TEST(UnionOpTest, MergesBatchesInOrder) {
-  UnionOp union_op;
-  union_op.Add({MakeResult(0, 1), MakeResult(0, 3)});
-  union_op.Add({MakeResult(1, 5)});
-  EXPECT_EQ(union_op.total(), 3);
-  EXPECT_EQ(union_op.pending(), 3);
-  std::vector<JoinResult> merged = union_op.Drain();
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].member_seqs[0], 1);
-  EXPECT_EQ(merged[2].partition, 1);
-  EXPECT_EQ(union_op.pending(), 0);
-  EXPECT_EQ(union_op.total(), 3);
-}
-
-TEST(UnionOpTest, DrainOnEmptyIsEmpty) {
-  UnionOp union_op;
-  EXPECT_TRUE(union_op.Drain().empty());
 }
 
 TEST(ResultSinkTest, CountsWithoutCollecting) {

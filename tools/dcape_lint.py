@@ -84,12 +84,10 @@ line or the line directly above it. Suppressions are greppable — every
 intentional exception stays visible. A lock-order cycle is suppressed
 when any of its participating acquisition sites carries the allow.
 
-The linter prefers a libclang AST when the python `clang` bindings are
-importable (function extents and types come from the real parser); it
-falls back to a built-in lexer (comment/string-stripping, brace
-matching, declaration regexes) that encodes the repo's house style.
-Both backends feed the same checks. Exit status: 0 clean, 1 findings,
-2 bad flags — mirroring dcape_chaos.
+Sources are read by a built-in lexer (comment/string-stripping, brace
+matching, declaration regexes) that encodes the repo's house style; it
+needs nothing beyond the Python standard library. Exit status: 0 clean,
+1 findings, 2 bad flags — mirroring dcape_chaos.
 """
 
 import json
@@ -343,77 +341,6 @@ def tainted_expr(source, expr, extra=()):
 # declared in headers but iterated in other TUs).
 GLOBAL_UNORDERED_RETURNERS = set()
 GLOBAL_UNORDERED_IDENTS = set()
-
-
-# ---------------------------------------------------------------------------
-# Backends
-# ---------------------------------------------------------------------------
-
-
-def try_libclang():
-    """Returns the clang.cindex module when usable, else None."""
-    try:
-        import clang.cindex as cindex  # type: ignore
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def parse_with_libclang(cindex, path, compile_args, source):
-    """AST-precise function extraction; falls back on parse failure."""
-    try:
-        index = cindex.Index.create()
-        tu = index.parse(path, args=compile_args)
-    except Exception:
-        lex_functions(source)
-        return
-    from clang.cindex import CursorKind  # type: ignore
-    fn_kinds = {
-        CursorKind.FUNCTION_DECL,
-        CursorKind.CXX_METHOD,
-        CursorKind.CONSTRUCTOR,
-        CursorKind.DESTRUCTOR,
-        CursorKind.FUNCTION_TEMPLATE,
-        CursorKind.LAMBDA_EXPR,
-    }
-
-    def walk(cursor):
-        for child in cursor.get_children():
-            loc = child.location
-            if loc.file is None or os.path.realpath(
-                    loc.file.name) != os.path.realpath(path):
-                walk(child)
-                continue
-            if child.kind in fn_kinds and child.is_definition():
-                ext = child.extent
-                body = "\n".join(
-                    source.clean_lines[ext.start.line - 1:ext.end.line])
-                fn = Function(
-                    name=child.spelling,
-                    qualname=qualify(child),
-                    file=path,
-                    line=ext.start.line,
-                    body=body,
-                )
-                for call in _CALL_RE.finditer(body):
-                    if call.group(1) not in _KEYWORD_NAMES:
-                        fn.calls.add(call.group(1))
-                source.functions.append(fn)
-            walk(child)
-
-    def qualify(cursor):
-        parts = [cursor.spelling]
-        parent = cursor.semantic_parent
-        while parent is not None and parent.spelling and \
-                parent.kind.name != "TRANSLATION_UNIT":
-            parts.append(parent.spelling)
-            parent = parent.semantic_parent
-        return "::".join(reversed(parts))
-
-    walk(tu.cursor)
-    if not source.functions:
-        lex_functions(source)
 
 
 # ---------------------------------------------------------------------------
@@ -1946,7 +1873,7 @@ def is_linted_path(root, path):
     return rel.endswith((".h", ".cc"))
 
 
-def load_sources(paths, cindex, compile_args_by_file):
+def load_sources(paths):
     sources = []
     for path in paths:
         try:
@@ -1957,12 +1884,7 @@ def load_sources(paths, cindex, compile_args_by_file):
             continue
         source = SourceFile(path, raw)
         collect_unordered_symbols(source)
-        if cindex is not None and path.endswith(".cc"):
-            parse_with_libclang(
-                cindex, path, compile_args_by_file.get(path, ["-std=c++20"]),
-                source)
-        else:
-            lex_functions(source)
+        lex_functions(source)
         sources.append(source)
     for source in sources:
         GLOBAL_UNORDERED_RETURNERS.update(source.unordered_returners)
@@ -1984,31 +1906,13 @@ def run_checks(sources, root, selected):
     return findings
 
 
-def compile_args_from_db(compile_commands):
-    args_by_file = {}
-    if not (compile_commands and os.path.exists(compile_commands)):
-        return args_by_file
-    try:
-        with open(compile_commands) as f:
-            for entry in json.load(f):
-                path = os.path.realpath(
-                    os.path.join(entry.get("directory", ""), entry["file"]))
-                raw = entry.get("arguments") or entry.get("command", "").split()
-                args = [a for a in raw[1:]
-                        if a.startswith(("-I", "-D", "-std", "-isystem"))]
-                args_by_file[path] = args
-    except (OSError, ValueError, KeyError):
-        pass
-    return args_by_file
-
-
-def _lint_fixture_group(paths, fixtures, cindex, ctx):
+def _lint_fixture_group(paths, fixtures, ctx):
     """Runs every source check and every whole-program check over one
     fixture (a single file, or an _a/_b/... multi-TU group)."""
     # Fixture groups are self-contained: reset cross-file state.
     GLOBAL_UNORDERED_RETURNERS.clear()
     GLOBAL_UNORDERED_IDENTS.clear()
-    sources = load_sources(paths, cindex, {})
+    sources = load_sources(paths)
     findings = run_checks(sources, fixtures, list(CHECKS))
     facts_list = [extract_facts(
         s, os.path.relpath(s.path, fixtures).replace(os.sep, "/"))
@@ -2020,7 +1924,7 @@ def _lint_fixture_group(paths, fixtures, cindex, ctx):
 _PAIR_SUFFIX_RE = re.compile(r"_([a-z])\.cc$")
 
 
-def selftest(root, cindex):
+def selftest(root):
     """Every tests/lint_fixtures/bad_<check>*.cc must trigger exactly its
     check; clean_*.cc and suppressed_*.cc must be finding-free. A
     fixture named <stem>_a.cc is a multi-TU group: it is linted together
@@ -2061,7 +1965,7 @@ def selftest(root, cindex):
         groups.append((name, name, [os.path.join(fixtures, name)]))
     all_checks = {**CHECKS, **WP_CHECKS}
     for display, check_name, paths in groups:
-        findings = _lint_fixture_group(paths, fixtures, cindex, ctx)
+        findings = _lint_fixture_group(paths, fixtures, ctx)
         checks_hit = {f.check for f in findings}
         if check_name.startswith("bad_"):
             stem = check_name[len("bad_"):-len(".cc")]
@@ -2202,10 +2106,8 @@ def main(argv):
         default_db = os.path.join(root, "build", "compile_commands.json")
         compile_commands = default_db if os.path.exists(default_db) else None
 
-    cindex = try_libclang()
-
     if do_selftest:
-        return selftest(root, cindex)
+        return selftest(root)
 
     sel = selected if selected is not None else all_checks
     sel_src = [n for n in sel if n in CHECKS]
@@ -2238,11 +2140,9 @@ def main(argv):
         sel = sel_wp or list(WP_CHECKS)
         findings = run_wp_checks(facts_list, ctx, sel)
         nfiles = len(facts_list)
-        backend = "facts"
     else:
         paths = explicit_files or discover_files(root, compile_commands)
-        args_by_file = compile_args_from_db(compile_commands)
-        sources = load_sources(paths, cindex, args_by_file)
+        sources = load_sources(paths)
 
         def relpath(path):
             return os.path.relpath(path, root).replace(os.sep, "/")
@@ -2264,7 +2164,6 @@ def main(argv):
         findings.extend(run_wp_checks(facts_list, ctx, sel_wp))
         findings.sort(key=lambda f: (f.file, f.line, f.check))
         nfiles = len(paths)
-        backend = "libclang" if cindex is not None else "builtin-lexer"
 
     if baseline_path is None:
         baseline_path = os.path.join(root, "tools", "lint_baseline.json")
@@ -2283,7 +2182,7 @@ def main(argv):
         print(f"{f}  [baselined]")
     summary = (f"dcape-lint: {nfiles} files, {len(new)} findings"
                + (f" ({len(old)} baselined)" if old else "")
-               + f" ({backend}; checks: {', '.join(sel)})")
+               + f" (checks: {', '.join(sel)})")
     print(summary)
     return 1 if new else 0
 

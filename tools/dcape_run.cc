@@ -187,6 +187,9 @@ int Run(const std::vector<std::string>& args) {
   if (!options.record_trace_path.empty()) {
     options.cluster.record_trace = std::make_shared<std::string>();
   }
+  // The summary prints only the cleanup result count; RunRealtime keeps
+  // the results again when --check-oracle compares them.
+  options.cluster.cleanup.collect_results = false;
 
   if (options.realtime) return RunRealtime(std::move(options));
 
