@@ -1,7 +1,6 @@
 #include "cleanup/block_reader.h"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -317,10 +316,9 @@ StatusOr<bool> MemoryGenCursor::Advance() {
   ReleaseMembers();
   if (next_ == keys_.size()) return false;
   key_ = keys_[next_++];
-  const std::span<const Tuple> tuples = group_->KeyTuples(key_, stream_);
+  const PartitionGroup::RowChain tuples = group_->KeyTuples(key_, stream_);
   DCAPE_CHECK(!tuples.empty());
-  members_.reserve(tuples.size());
-  for (const Tuple& t : tuples) {
+  for (const PartitionGroup::RowRef t : tuples) {
     members_.push_back(MemberRef{t.seq, t.value, t.category, t.timestamp});
   }
   ChargeMembers();

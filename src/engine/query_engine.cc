@@ -64,6 +64,10 @@ QueryEngine::QueryEngine(const EngineConfig& config, Transport* network,
   c_.cold_probe_misses = metrics_->AddGauge(obs::m::kColdProbeMisses, entity);
   c_.max_spill_stall_ticks =
       metrics_->AddGauge(obs::m::kMaxSpillStallTicks, entity);
+  c_.state_tracked_bytes =
+      metrics_->AddGauge(obs::m::kStateTrackedBytes, entity);
+  c_.state_resident_bytes =
+      metrics_->AddGauge(obs::m::kStateResidentBytes, entity);
   c_.tuples_per_stream.reserve(static_cast<size_t>(config.num_streams));
   for (int s = 0; s < config.num_streams; ++s) {
     c_.tuples_per_stream.push_back(
@@ -95,6 +99,11 @@ QueryEngine::Counters QueryEngine::counters() const {
   c_.cold_probe_misses->Set(mjoin_.state().cold_probe_misses());
   c.cold_probe_misses = c_.cold_probe_misses->value();
   c.max_spill_stall_ticks = c_.max_spill_stall_ticks->value();
+  // Likewise for the state's memory high-water marks.
+  c_.state_tracked_bytes->Set(mjoin_.state().peak_bytes());
+  c_.state_resident_bytes->Set(mjoin_.state().peak_resident_bytes());
+  c.peak_state_tracked_bytes = c_.state_tracked_bytes->value();
+  c.peak_state_resident_bytes = c_.state_resident_bytes->value();
   c.tuples_per_stream.reserve(c_.tuples_per_stream.size());
   for (const obs::Counter* cell : c_.tuples_per_stream) {
     c.tuples_per_stream.push_back(cell->value());

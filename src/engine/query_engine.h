@@ -127,6 +127,10 @@ class QueryEngine {
     int64_t subpartition_splits = 0;
     int64_t cold_probe_misses = 0;
     int64_t max_spill_stall_ticks = 0;
+    /// High-water marks of the join state's tracked bytes and of its
+    /// resident bytes (key indexes plus arena capacity).
+    int64_t peak_state_tracked_bytes = 0;
+    int64_t peak_state_resident_bytes = 0;
     /// Tuples processed per stream (size == num_streams) — the chaos
     /// harness's per-stream accounting diffs this against the oracle.
     std::vector<int64_t> tuples_per_stream;
@@ -269,6 +273,8 @@ class QueryEngine {
     obs::Counter* subpartition_splits;
     obs::Gauge* cold_probe_misses;
     obs::Gauge* max_spill_stall_ticks;
+    obs::Gauge* state_tracked_bytes;
+    obs::Gauge* state_resident_bytes;
     /// Indexed by stream id.
     std::vector<obs::Counter*> tuples_per_stream;
   };

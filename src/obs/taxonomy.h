@@ -113,6 +113,15 @@ inline constexpr char kColdProbeMisses[] = "engine.cold_probe_misses";
 /// the skew sweep tracks.
 inline constexpr char kMaxSpillStallTicks[] = "engine.max_spill_stall_ticks";
 
+// Join-state memory (high-water marks over the run).
+/// Peak tracked state bytes — the figure spill and relocation compare
+/// against their thresholds (StateManager::peak_bytes).
+inline constexpr char kStateTrackedBytes[] = "engine.state_tracked_bytes";
+/// Peak resident state bytes: the groups' key indexes plus arena
+/// capacity (StateManager::peak_resident_bytes). Its gap to the tracked
+/// peak is the layout's overhead.
+inline constexpr char kStateResidentBytes[] = "engine.state_resident_bytes";
+
 // Relocation, engine side.
 inline constexpr char kRelocationsOut[] = "engine.relocations_out";
 inline constexpr char kRelocationsIn[] = "engine.relocations_in";

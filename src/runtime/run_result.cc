@@ -29,6 +29,15 @@ void RunResult::PrintSummary(std::ostream& os) const {
      << FormatBytes(spilled_bytes) << ")"
      << " | forced spills: " << coordinator.forced_spills
      << " | cleanup time: " << cleanup.total_ticks / 1000.0 << " s\n";
+  int64_t peak_tracked = 0;
+  int64_t peak_resident = 0;
+  for (const QueryEngine::Counters& engine : engines) {
+    peak_tracked += engine.peak_state_tracked_bytes;
+    peak_resident += engine.peak_state_resident_bytes;
+  }
+  os << "join state (per-engine peaks, summed): resident "
+     << FormatBytes(peak_resident) << " vs tracked "
+     << FormatBytes(peak_tracked) << "\n";
   if (storage.segments_written > 0) {
     os << "storage: " << storage.segments_written << " segments ("
        << FormatBytes(storage.encoded_bytes) << " encoded / "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <span>
 
 #include "common/check.h"
 
@@ -28,8 +27,8 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
       older.DistinctKeyCount() <= newer.DistinctKeyCount() ? older : newer;
   const PartitionGroup* generations[2] = {&older, &newer};
   for (JoinKey key : seed.SortedKeys()) {
-    // sides[g][s] = generation g's stream-s tuples with this key.
-    std::array<std::array<std::span<const Tuple>, kMaxStreams>, 2> sides;
+    // sides[g][s] = generation g's stream-s chain for this key.
+    std::array<std::array<PartitionGroup::RowChain, kMaxStreams>, 2> sides;
     for (size_t g = 0; g < 2; ++g) {
       for (int s = 0; s < m; ++s) {
         sides[g][static_cast<size_t>(s)] = generations[g]->KeyTuples(key, s);
@@ -37,7 +36,7 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
     }
     // Mask bit s set → stream s's member comes from `newer`.
     for (uint32_t mask = 1; mask < full; ++mask) {
-      std::array<std::span<const Tuple>, kMaxStreams> lists;
+      std::array<PartitionGroup::RowChain, kMaxStreams> lists;
       bool all_present = true;
       for (int s = 0; s < m && all_present; ++s) {
         const size_t i = static_cast<size_t>(s);
@@ -50,7 +49,10 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
       result.partition = older.partition();
       result.join_key = key;
       result.member_seqs.assign(static_cast<size_t>(m), 0);
-      std::array<size_t, kMaxStreams> cursor{};
+      std::array<PartitionGroup::RowChain::Iterator, kMaxStreams> cursor;
+      for (int s = 0; s < m; ++s) {
+        cursor[static_cast<size_t>(s)] = lists[static_cast<size_t>(s)].begin();
+      }
       while (true) {
         int64_t agg = 0;
         bool first_member = true;
@@ -59,7 +61,7 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
         bool first_ts = true;
         for (int s = 0; s < m; ++s) {
           const size_t i = static_cast<size_t>(s);
-          const Tuple& member = lists[i][cursor[i]];
+          const PartitionGroup::RowRef member = *cursor[i];
           result.member_seqs[i] = member.seq;
           if (first_ts) {
             min_ts = max_ts = member.timestamp;
@@ -86,9 +88,9 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
 
         int s = m - 1;
         for (; s >= 0; --s) {
-          size_t& c = cursor[static_cast<size_t>(s)];
-          if (++c < lists[static_cast<size_t>(s)].size()) break;
-          c = 0;
+          const size_t i = static_cast<size_t>(s);
+          if (++cursor[i] != lists[i].end()) break;
+          cursor[i] = lists[i].begin();
         }
         if (s < 0) break;
       }

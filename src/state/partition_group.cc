@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -20,20 +19,64 @@ constexpr char kGroupMagic[4] = {0x44, 0x43, 0x50, static_cast<char>(0xB2)};
 }  // namespace
 
 PartitionGroup::PartitionGroup(PartitionId partition, int num_streams)
-    : partition_(partition), num_streams_(num_streams) {
+    : partition_(partition), num_streams_(num_streams), index_(num_streams) {
   DCAPE_CHECK_GE(num_streams, 2);
   DCAPE_CHECK_LE(num_streams, kMaxStreams);
 }
 
-PartitionGroup::KeyEntry& PartitionGroup::EntryFor(JoinKey key) {
-  return table_.try_emplace(key, num_streams_).first->second;
+Tuple PartitionGroup::RowRef::ToTuple(StreamId stream, JoinKey key) const {
+  Tuple t;
+  t.stream_id = stream;
+  t.seq = seq;
+  t.join_key = key;
+  t.timestamp = timestamp;
+  t.value = value;
+  t.category = category;
+  t.payload.assign(payload);
+  return t;
 }
 
-void PartitionGroup::Append(KeyEntry* entry, Tuple&& tuple) {
-  bytes_ += tuple.ByteSize();
+size_t PartitionGroup::RowChain::size() const {
+  size_t n = 0;
+  for (RowId r = first_; r != kNoRow; r = group_->rows_[r].next) ++n;
+  return n;
+}
+
+PartitionGroup::RowRef PartitionGroup::View(RowId row) const {
+  const Row& r = rows_[row];
+  // An empty payload may sit in an empty arena, whose data() is null.
+  const std::string_view payload =
+      r.payload_size == 0
+          ? std::string_view()
+          : std::string_view(payload_.data() + r.payload_offset,
+                             r.payload_size);
+  return RowRef{r.seq, r.timestamp, r.value, r.category, payload};
+}
+
+RowId PartitionGroup::AppendRow(size_t slot, int stream, const RowRef& tuple) {
+  // 32-bit row links and payload offsets: overflow aborts, never wraps.
+  DCAPE_CHECK_LT(rows_.size(), size_t{kNoRow});
+  DCAPE_CHECK_LE(payload_.size() + tuple.payload.size(), size_t{UINT32_MAX});
+  const RowId row = static_cast<RowId>(rows_.size());
+  rows_.push_back(Row{tuple.seq, tuple.timestamp, tuple.value, tuple.category,
+                      static_cast<uint32_t>(payload_.size()),
+                      static_cast<uint32_t>(tuple.payload.size()), kNoRow});
+  payload_.insert(payload_.end(), tuple.payload.begin(), tuple.payload.end());
+  LinkBehind(slot, stream, row, row);
+  bytes_ += Tuple::kHeaderBytes + static_cast<int64_t>(tuple.payload.size());
   tuple_count_ += 1;
-  entry->streams[static_cast<size_t>(tuple.stream_id)].push_back(
-      std::move(tuple));
+  return row;
+}
+
+void PartitionGroup::LinkBehind(size_t slot, int stream, RowId first,
+                                RowId last) {
+  const RowId tail = index_.last(slot, stream);
+  if (tail == kNoRow) {
+    index_.set_chain(slot, stream, first, last);
+  } else {
+    rows_[tail].next = first;
+    index_.set_chain(slot, stream, index_.first(slot, stream), last);
+  }
 }
 
 int64_t PartitionGroup::ProbeAndInsert(Tuple tuple,
@@ -42,29 +85,38 @@ int64_t PartitionGroup::ProbeAndInsert(Tuple tuple,
                                        Tick window_ticks) {
   DCAPE_CHECK_GE(tuple.stream_id, 0);
   DCAPE_CHECK_LT(tuple.stream_id, num_streams_);
-  // The arrival's one hash lookup: the key's entry serves the probe, the
+  // The arrival's one index probe: the key's slot serves the probe, the
   // insert and the access clock.
-  KeyEntry& entry = EntryFor(tuple.join_key);
+  const size_t slot = index_.FindOrInsert(tuple.join_key);
   const int own = tuple.stream_id;
 
   // An m-way result needs a partner from every other stream.
   bool all_matched = true;
   for (int s = 0; s < num_streams_ && all_matched; ++s) {
-    all_matched = s == own || !entry.streams[static_cast<size_t>(s)].empty();
+    all_matched = s == own || index_.first(slot, s) != kNoRow;
   }
+
+  // The arrival joins its own chain first; the enumeration below pins
+  // the own stream's cursor to it and walks only the other chains.
+  std::array<RowId, kMaxStreams> cursor{};
+  cursor[static_cast<size_t>(own)] = AppendRow(
+      slot, own,
+      RowRef{tuple.seq, tuple.timestamp, tuple.value, tuple.category,
+             tuple.payload});
+  index_.set_touch(slot, ++access_clock_);
 
   int64_t produced = 0;
   if (all_matched) {
-    // Enumerate the cross product of the other streams' tuples. The
+    // Enumerate the cross product of the other streams' chains. The
     // result (inline member seqs) and the odometer cursor live on the
     // stack, so steady-state probes never allocate.
     JoinResult result;
     result.partition = partition_;
     result.join_key = tuple.join_key;
     result.member_seqs.assign(static_cast<size_t>(num_streams_), 0);
-    result.member_seqs[static_cast<size_t>(own)] = tuple.seq;
-
-    std::array<size_t, kMaxStreams> cursor{};
+    for (int s = 0; s < num_streams_; ++s) {
+      if (s != own) cursor[static_cast<size_t>(s)] = index_.first(slot, s);
+    }
     while (true) {
       int64_t agg = 0;
       bool first_member = true;
@@ -72,8 +124,7 @@ int64_t PartitionGroup::ProbeAndInsert(Tuple tuple,
       Tick max_ts = tuple.timestamp;
       for (int s = 0; s < num_streams_; ++s) {
         const size_t i = static_cast<size_t>(s);
-        const Tuple& member =
-            (s == own) ? tuple : entry.streams[i][cursor[i]];
+        const Row& member = rows_[cursor[i]];
         result.member_seqs[i] = member.seq;
         min_ts = std::min(min_ts, member.timestamp);
         max_ts = std::max(max_ts, member.timestamp);
@@ -92,20 +143,19 @@ int64_t PartitionGroup::ProbeAndInsert(Tuple tuple,
         ++produced;
       }
 
-      // Odometer increment over the non-arriving streams.
+      // Odometer increment over the non-arriving streams' chains.
       int s = num_streams_ - 1;
       for (; s >= 0; --s) {
         if (s == own) continue;
-        size_t& c = cursor[static_cast<size_t>(s)];
-        if (++c < entry.streams[static_cast<size_t>(s)].size()) break;
-        c = 0;
+        RowId& c = cursor[static_cast<size_t>(s)];
+        c = rows_[c].next;
+        if (c != kNoRow) break;
+        c = index_.first(slot, s);
       }
       if (s < 0) break;
     }
   }
 
-  Append(&entry, std::move(tuple));
-  entry.last_touch = ++access_clock_;
   outputs_ += produced;
   return produced;
 }
@@ -115,94 +165,112 @@ int64_t PartitionGroup::EvictBefore(Tick cutoff, PartitionGroup* evicted) {
   DCAPE_CHECK_EQ(evicted->partition(), partition_);
   DCAPE_CHECK_EQ(evicted->num_streams(), num_streams_);
   int64_t moved = 0;
-  for (auto it = table_.begin(); it != table_.end();) {
-    KeyEntry* expired = nullptr;
-    bool drained = true;
-    for (std::vector<Tuple>& tuples : it->second.streams) {
-      // In-place stable compaction: expired tuples move to `evicted`,
-      // survivors slide left. No temporary vector per key.
-      size_t write = 0;
-      for (size_t read = 0; read < tuples.size(); ++read) {
-        Tuple& t = tuples[read];
-        if (t.timestamp < cutoff) {
-          if (expired == nullptr) expired = &evicted->EntryFor(it->first);
-          bytes_ -= t.ByteSize();
+  std::vector<JoinKey> drained;
+  // Each key's expired rows copy into `evicted` in chain order, so the
+  // visiting order only decides the arena layouts, never a chain.
+  for (size_t slot : index_) {
+    size_t expired = JoinKeyIndex::kNoSlot;
+    bool empty = true;
+    for (int s = 0; s < num_streams_; ++s) {
+      // Unlink expired rows (they become dead) and keep the survivors'
+      // order.
+      RowId first = index_.first(slot, s);
+      RowId kept = kNoRow;
+      for (RowId r = first; r != kNoRow;) {
+        const RowId next = rows_[r].next;
+        if (rows_[r].timestamp < cutoff) {
+          if (expired == JoinKeyIndex::kNoSlot) {
+            expired = evicted->index_.FindOrInsert(index_.key(slot));
+          }
+          evicted->AppendRow(expired, s, View(r));
+          bytes_ -= Tuple::kHeaderBytes + rows_[r].payload_size;
           tuple_count_ -= 1;
           ++moved;
-          evicted->Append(expired, std::move(t));
+          if (kept == kNoRow) {
+            first = next;
+          } else {
+            rows_[kept].next = next;
+          }
         } else {
-          if (write != read) tuples[write] = std::move(t);
-          ++write;
+          kept = r;
         }
+        r = next;
       }
-      tuples.resize(write);
-      drained = drained && write == 0;
+      index_.set_chain(slot, s, first, kept);
+      empty = empty && first == kNoRow;
     }
     // A key with no tuples left drops out, access clock included.
-    it = drained ? table_.erase(it) : std::next(it);
+    if (empty) drained.push_back(index_.key(slot));
   }
+  for (JoinKey key : drained) index_.Erase(index_.Find(key));
+  ReclaimDead();
   return moved;
 }
 
 void PartitionGroup::InsertOnly(const Tuple& tuple) {
-  InsertOnly(Tuple(tuple));
-}
-
-void PartitionGroup::InsertOnly(Tuple&& tuple) {
   DCAPE_CHECK_GE(tuple.stream_id, 0);
   DCAPE_CHECK_LT(tuple.stream_id, num_streams_);
-  Append(&EntryFor(tuple.join_key), std::move(tuple));
-}
-
-void PartitionGroup::Absorb(KeyEntry* into, KeyEntry* from) {
-  for (size_t s = 0; s < into->streams.size(); ++s) {
-    std::vector<Tuple>& dst = into->streams[s];
-    std::vector<Tuple>& src = from->streams[s];
-    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-               std::make_move_iterator(src.end()));
-  }
-  into->last_touch = std::max(into->last_touch, from->last_touch);
+  AppendRow(index_.FindOrInsert(tuple.join_key), tuple.stream_id,
+            RowRef{tuple.seq, tuple.timestamp, tuple.value, tuple.category,
+                   tuple.payload});
 }
 
 void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   DCAPE_CHECK_EQ(partition_, other.partition_);
   DCAPE_CHECK_EQ(num_streams_, other.num_streams_);
-  // Keys only `other` holds move over as whole entries; what stays
-  // behind in `other` are the shared keys, whose tuples append behind
-  // this group's. Access clocks merge by max: both inputs are
-  // deterministic, so the merged coldness ordering is too. A
-  // deserialized generation has every clock at 0 and ranks coldest,
-  // which is the right prior.
-  table_.merge(other.table_);
-  for (auto& [key, theirs] : other.table_) {
-    Absorb(&table_.find(key)->second, &theirs);
+  // `other`'s arenas append whole behind this group's (its dead rows
+  // too, so dead <= live still holds), then every chain of `other`
+  // links in behind this group's chain for the same (key, stream).
+  // Access clocks merge by max: both inputs are deterministic, so the
+  // merged coldness ordering is too. A deserialized generation has
+  // every clock at 0 and ranks coldest, which is the right prior.
+  DCAPE_CHECK_LE(rows_.size() + other.rows_.size(), size_t{kNoRow});
+  DCAPE_CHECK_LE(payload_.size() + other.payload_.size(), size_t{UINT32_MAX});
+  const RowId row_base = static_cast<RowId>(rows_.size());
+  const uint32_t payload_base = static_cast<uint32_t>(payload_.size());
+  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
+  for (size_t r = row_base; r < rows_.size(); ++r) {
+    if (rows_[r].next != kNoRow) rows_[r].next += row_base;
+    rows_[r].payload_offset += payload_base;
+  }
+  payload_.insert(payload_.end(), other.payload_.begin(),
+                  other.payload_.end());
+  for (size_t theirs : other.index_) {
+    const size_t slot = index_.FindOrInsert(other.index_.key(theirs));
+    for (int s = 0; s < num_streams_; ++s) {
+      const RowId first = other.index_.first(theirs, s);
+      if (first == kNoRow) continue;
+      LinkBehind(slot, s, first + row_base,
+                 other.index_.last(theirs, s) + row_base);
+    }
+    index_.set_touch(slot,
+                     std::max(index_.touch(slot), other.index_.touch(theirs)));
   }
   bytes_ += other.bytes_;
   tuple_count_ += other.tuple_count_;
   outputs_ += other.outputs_;
   access_clock_ = std::max(access_clock_, other.access_clock_);
-  other.table_.clear();
-  other.bytes_ = 0;
-  other.tuple_count_ = 0;
-  other.outputs_ = 0;
-  other.access_clock_ = 0;
+  other = PartitionGroup(other.partition_, other.num_streams_);
 }
 
-int64_t PartitionGroup::MoveEntryTo(Table::iterator it, PartitionGroup* dst) {
+int64_t PartitionGroup::MoveKeyTo(size_t slot, PartitionGroup* dst) {
+  const JoinKey key = index_.key(slot);
+  const size_t theirs = dst->index_.FindOrInsert(key);
   int64_t moved_bytes = 0;
   int64_t moved_tuples = 0;
-  for (const std::vector<Tuple>& tuples : it->second.streams) {
-    for (const Tuple& t : tuples) moved_bytes += t.ByteSize();
-    moved_tuples += static_cast<int64_t>(tuples.size());
+  for (int s = 0; s < num_streams_; ++s) {
+    for (RowId r = index_.first(slot, s); r != kNoRow; r = rows_[r].next) {
+      dst->AppendRow(theirs, s, View(r));
+      moved_bytes += Tuple::kHeaderBytes + rows_[r].payload_size;
+      ++moved_tuples;
+    }
   }
-  const int64_t touch = it->second.last_touch;
-  auto placed = dst->table_.insert(table_.extract(it));
-  if (!placed.inserted) Absorb(&placed.position->second, &placed.node.mapped());
+  const int64_t touch = index_.touch(slot);
+  dst->index_.set_touch(theirs, std::max(dst->index_.touch(theirs), touch));
+  dst->access_clock_ = std::max(dst->access_clock_, touch);
+  index_.Erase(slot);
   bytes_ -= moved_bytes;
   tuple_count_ -= moved_tuples;
-  dst->bytes_ += moved_bytes;
-  dst->tuple_count_ += moved_tuples;
-  dst->access_clock_ = std::max(dst->access_clock_, touch);
   return moved_bytes;
 }
 
@@ -211,30 +279,27 @@ int64_t PartitionGroup::SplitColdest(int64_t target_bytes,
   DCAPE_CHECK(cold != nullptr);
   DCAPE_CHECK_EQ(cold->partition(), partition_);
   DCAPE_CHECK_EQ(cold->num_streams(), num_streams_);
-  if (target_bytes <= 0 || table_.size() < 2) return 0;
+  if (target_bytes <= 0 || index_.size() < 2) return 0;
 
   // Coldest first: ascending (last_touch, key) is a total order over the
-  // entries, so the move order does not depend on hash order. Moving an
-  // entry invalidates no other entry's iterator.
-  std::vector<Table::iterator> order;
-  order.reserve(table_.size());
-  for (auto it = table_.begin(); it != table_.end(); ++it) {
-    order.push_back(it);
+  // keys, so the move order does not depend on slot order. Moving a key
+  // moves other slots, so each move looks its key up again.
+  std::vector<std::pair<int64_t, JoinKey>> order;
+  order.reserve(static_cast<size_t>(index_.size()));
+  // dcape-lint: allow(unordered-net) — iteration order is erased by the
+  // sort below.
+  for (size_t slot : index_) {
+    order.emplace_back(index_.touch(slot), index_.key(slot));
   }
-  std::sort(order.begin(), order.end(),
-            [](Table::iterator a, Table::iterator b) {
-              if (a->second.last_touch != b->second.last_touch) {
-                return a->second.last_touch < b->second.last_touch;
-              }
-              return a->first < b->first;
-            });
+  std::sort(order.begin(), order.end());
 
   int64_t moved = 0;
   // The hottest key (last candidate) never moves: the residue must stay
   // probe-able in memory.
   for (size_t i = 0; i + 1 < order.size() && moved < target_bytes; ++i) {
-    moved += MoveEntryTo(order[i], cold);
+    moved += MoveKeyTo(index_.Find(order[i].second), cold);
   }
+  ReclaimDead();
   return moved;
 }
 
@@ -242,14 +307,66 @@ PartitionGroup PartitionGroup::SplitBySecondaryHashBit(int bit) {
   DCAPE_CHECK_GE(bit, 0);
   DCAPE_CHECK_LT(bit, 64);
   PartitionGroup high(partition_, num_streams_);
-  // Whole entries move into a fresh group, so the visiting order decides
-  // nothing about either side's state.
-  for (auto it = table_.begin(); it != table_.end();) {
-    const auto next = std::next(it);
-    if ((SecondaryKeyHash(it->first) >> bit) & 1ULL) MoveEntryTo(it, &high);
-    it = next;
+  // Whole keys move into a fresh group, so the visiting order decides
+  // nothing about either side's chains.
+  std::vector<JoinKey> moving;
+  for (size_t slot : index_) {
+    const JoinKey key = index_.key(slot);
+    if ((SecondaryKeyHash(key) >> bit) & 1ULL) moving.push_back(key);
   }
+  for (JoinKey key : moving) MoveKeyTo(index_.Find(key), &high);
+  ReclaimDead();
   return high;
+}
+
+void PartitionGroup::ReclaimDead() {
+  if (dead_bytes() <= bytes_) return;
+  if (tuple_count_ == 0) {
+    rows_ = {};
+    payload_ = {};
+    index_.ShrinkToFit();
+    return;
+  }
+  // Mark the rows some chain reaches, then slide them (and their
+  // payload bytes) to the front in arena order: both arenas are filled
+  // in the same order, so payload never moves right. moved_to maps an
+  // old row number to its new one.
+  std::vector<RowId> moved_to(rows_.size(), kNoRow);
+  for (size_t slot : index_) {
+    for (int s = 0; s < num_streams_; ++s) {
+      for (RowId r = index_.first(slot, s); r != kNoRow; r = rows_[r].next) {
+        moved_to[r] = 0;
+      }
+    }
+  }
+  RowId live = 0;
+  size_t payload_end = 0;
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    if (moved_to[r] == kNoRow) continue;
+    Row row = rows_[r];
+    if (row.payload_size > 0) {
+      std::memmove(payload_.data() + payload_end,
+                   payload_.data() + row.payload_offset, row.payload_size);
+    }
+    row.payload_offset = static_cast<uint32_t>(payload_end);
+    payload_end += row.payload_size;
+    moved_to[r] = live;
+    rows_[live++] = row;
+  }
+  for (RowId r = 0; r < live; ++r) {
+    if (rows_[r].next != kNoRow) rows_[r].next = moved_to[rows_[r].next];
+  }
+  for (size_t slot : index_) {
+    for (int s = 0; s < num_streams_; ++s) {
+      const RowId first = index_.first(slot, s);
+      if (first == kNoRow) continue;
+      index_.set_chain(slot, s, moved_to[first],
+                       moved_to[index_.last(slot, s)]);
+    }
+  }
+  rows_.resize(live);
+  payload_.resize(payload_end);
+  index_.ShrinkToFit();
 }
 
 int64_t PartitionGroup::SerializedByteSize() const {
@@ -260,40 +377,50 @@ int64_t PartitionGroup::SerializedByteSize() const {
   return 16 + 8 * static_cast<int64_t>(num_streams_) + bytes_;
 }
 
-std::vector<const PartitionGroup::Table::value_type*>
-PartitionGroup::SortedEntries() const {
-  std::vector<const Table::value_type*> entries;
-  entries.reserve(table_.size());
+std::vector<std::pair<JoinKey, size_t>> PartitionGroup::SortedSlots() const {
+  std::vector<std::pair<JoinKey, size_t>> slots;
+  slots.reserve(static_cast<size_t>(index_.size()));
   // dcape-lint: allow(unordered-net) — iteration order is erased by the
-  // sort below; readers walk keys ascending, not hash-ordered.
-  for (const auto& entry : table_) entries.push_back(&entry);
-  std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  return entries;
+  // sort below; readers walk keys ascending, not in slot order.
+  for (size_t slot : index_) slots.emplace_back(index_.key(slot), slot);
+  std::sort(slots.begin(), slots.end());
+  return slots;
 }
 
 void PartitionGroup::Serialize(std::string* out, SegmentFormat format) const {
   out->reserve(out->size() + static_cast<size_t>(SerializedByteSize()));
   ByteWriter writer(out);
   // Each stream's section: its tuples in (key, arrival) order. Keys go
-  // ascending, never in hash order: that depends on the standard
-  // library's table layout and on the group's insertion history, so the
-  // same logical state would encode to different bytes on the spill
-  // sender and on a receiver that merged it. Sorting makes the blob a
-  // pure function of the state.
-  const std::vector<const Table::value_type*> entries = SortedEntries();
+  // ascending, never in slot order: that depends on the index's hash
+  // and on the group's insertion history, so the same logical state
+  // would encode to different bytes on the spill sender and on a
+  // receiver that merged it. Sorting makes the blob a pure function of
+  // the state.
+  const std::vector<std::pair<JoinKey, size_t>> keys = SortedSlots();
   if (format == SegmentFormat::kV1) {
     writer.PutI32(partition_);
     writer.PutI32(num_streams_);
     writer.PutI64(outputs_);
-    for (size_t s = 0; s < static_cast<size_t>(num_streams_); ++s) {
+    Tuple scratch;  // reused: its payload buffer only ever grows
+    for (int s = 0; s < num_streams_; ++s) {
       int64_t stream_tuples = 0;
-      for (const auto* entry : entries) {
-        stream_tuples += static_cast<int64_t>(entry->second.streams[s].size());
+      for (const auto& [key, slot] : keys) {
+        stream_tuples += static_cast<int64_t>(
+            RowChain(this, index_.first(slot, s)).size());
       }
       writer.PutI64(stream_tuples);
-      for (const auto* entry : entries) {
-        for (const Tuple& t : entry->second.streams[s]) EncodeTuple(t, out);
+      for (const auto& [key, slot] : keys) {
+        const RowChain run(this, index_.first(slot, s));
+        for (const RowRef t : run) {
+          scratch.stream_id = s;
+          scratch.seq = t.seq;
+          scratch.join_key = key;
+          scratch.timestamp = t.timestamp;
+          scratch.value = t.value;
+          scratch.category = t.category;
+          scratch.payload.assign(t.payload);
+          EncodeTuple(scratch, out);
+        }
       }
     }
     return;
@@ -307,20 +434,20 @@ void PartitionGroup::Serialize(std::string* out, SegmentFormat format) const {
   writer.PutVarint(static_cast<uint64_t>(partition_));
   writer.PutVarint(static_cast<uint64_t>(num_streams_));
   writer.PutZigzag(outputs_);
-  for (size_t s = 0; s < static_cast<size_t>(num_streams_); ++s) {
+  for (int s = 0; s < num_streams_; ++s) {
     uint64_t runs = 0;
-    for (const auto* entry : entries) {
-      runs += entry->second.streams[s].empty() ? 0 : 1;
+    for (const auto& [key, slot] : keys) {
+      runs += index_.first(slot, s) == kNoRow ? 0 : 1;
     }
     writer.PutVarint(runs);
-    for (const auto* entry : entries) {
-      const std::vector<Tuple>& run = entry->second.streams[s];
+    for (const auto& [key, slot] : keys) {
+      const RowChain run(this, index_.first(slot, s));
       if (run.empty()) continue;
-      writer.PutZigzag(entry->first);
+      writer.PutZigzag(key);
       writer.PutVarint(run.size());
       int64_t prev_seq = 0;
       Tick prev_ts = 0;
-      for (const Tuple& t : run) {
+      for (const RowRef t : run) {
         writer.PutZigzag(t.seq - prev_seq);
         writer.PutZigzag(t.timestamp - prev_ts);
         writer.PutZigzag(t.value);
@@ -379,26 +506,27 @@ StatusOr<PartitionGroup> PartitionGroup::Deserialize(std::string_view data) {
         if (run_length > data.size()) {
           return Status::InvalidArgument("run length exceeds input size");
         }
-        // One lookup per run: the entry is created with the run's first
-        // tuple, so an empty run leaves no entry behind.
-        KeyEntry* entry = nullptr;
+        // One index probe per run: the key is inserted with the run's
+        // first row, so an empty run leaves no key behind. Rows and
+        // payload bytes append straight from the blob.
+        size_t slot = JoinKeyIndex::kNoSlot;
         int64_t prev_seq = 0;
         Tick prev_ts = 0;
         for (uint64_t i = 0; i < run_length; ++i) {
-          Tuple t;
-          t.stream_id = s;
-          t.join_key = key;
+          RowRef t;
           DCAPE_ASSIGN_OR_RETURN(int64_t seq_delta, reader.GetZigzag());
           t.seq = prev_seq + seq_delta;
           DCAPE_ASSIGN_OR_RETURN(Tick ts_delta, reader.GetZigzag());
           t.timestamp = prev_ts + ts_delta;
           DCAPE_ASSIGN_OR_RETURN(t.value, reader.GetZigzag());
           DCAPE_ASSIGN_OR_RETURN(t.category, reader.GetZigzag());
-          DCAPE_ASSIGN_OR_RETURN(t.payload, reader.GetVString());
+          DCAPE_ASSIGN_OR_RETURN(t.payload, reader.GetVStringView());
           prev_seq = t.seq;
           prev_ts = t.timestamp;
-          if (entry == nullptr) entry = &group.EntryFor(key);
-          group.Append(entry, std::move(t));
+          if (slot == JoinKeyIndex::kNoSlot) {
+            slot = group.index_.FindOrInsert(key);
+          }
+          group.AppendRow(slot, s, t);
         }
       }
     }
@@ -422,7 +550,7 @@ StatusOr<PartitionGroup> PartitionGroup::Deserialize(std::string_view data) {
         return Status::InvalidArgument(
             "tuple stream id does not match its serialized section");
       }
-      group.InsertOnly(std::move(t));
+      group.InsertOnly(t);
     }
   }
   if (!reader.exhausted()) {
@@ -433,10 +561,10 @@ StatusOr<PartitionGroup> PartitionGroup::Deserialize(std::string_view data) {
 
 std::vector<JoinKey> PartitionGroup::SortedKeys() const {
   std::vector<JoinKey> keys;
-  keys.reserve(table_.size());
+  keys.reserve(static_cast<size_t>(index_.size()));
   // dcape-lint: allow(unordered-net) — iteration order is erased by the
   // sort below.
-  for (const auto& [key, entry] : table_) keys.push_back(key);
+  for (size_t slot : index_) keys.push_back(index_.key(slot));
   std::sort(keys.begin(), keys.end());
   return keys;
 }
@@ -447,23 +575,22 @@ std::vector<JoinKey> PartitionGroup::SortedKeysForStream(
   DCAPE_CHECK_LT(stream, num_streams_);
   std::vector<JoinKey> keys;
   // dcape-lint: allow(unordered-net) — iteration order is erased by the
-  // sort below; the cursor walks keys ascending, not hash-ordered.
-  for (const auto& [key, entry] : table_) {
-    if (!entry.streams[static_cast<size_t>(stream)].empty()) {
-      keys.push_back(key);
-    }
+  // sort below; the cursor walks keys ascending, not in slot order.
+  for (size_t slot : index_) {
+    if (index_.first(slot, stream) != kNoRow) keys.push_back(index_.key(slot));
   }
   std::sort(keys.begin(), keys.end());
   return keys;
 }
 
-std::span<const Tuple> PartitionGroup::KeyTuples(JoinKey key,
-                                                 StreamId stream) const {
+PartitionGroup::RowChain PartitionGroup::KeyTuples(JoinKey key,
+                                                   StreamId stream) const {
   DCAPE_CHECK_GE(stream, 0);
   DCAPE_CHECK_LT(stream, num_streams_);
-  const auto it = table_.find(key);
-  if (it == table_.end()) return {};
-  return it->second.streams[static_cast<size_t>(stream)];
+  const size_t slot = index_.Find(key);
+  return RowChain(this, slot == JoinKeyIndex::kNoSlot
+                            ? kNoRow
+                            : index_.first(slot, stream));
 }
 
 }  // namespace dcape

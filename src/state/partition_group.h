@@ -1,16 +1,18 @@
 #ifndef DCAPE_STATE_PARTITION_GROUP_H_
 #define DCAPE_STATE_PARTITION_GROUP_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/virtual_clock.h"
+#include "state/key_index.h"
 #include "tuple/projection.h"
 #include "tuple/serde.h"
 #include "tuple/tuple.h"
@@ -30,33 +32,93 @@ struct GroupStats {
   int64_t tuple_count = 0;
 };
 
-/// Fixed 64-bit mix (splitmix64 finalizer) used to derive sub-partition
-/// slots from join keys. Deliberately *not* std::hash: the slot of a key
-/// must be identical across standard libraries, platforms, and runs, or
-/// the recursive sub-partition split would break trace/oracle
-/// bit-identity.
-inline uint64_t SecondaryKeyHash(JoinKey key) {
-  uint64_t x = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// The paper's adaptation unit: all per-input-stream state with one
 /// partition id, kept together so joins never span machines and cleanup
 /// needs no per-tuple timestamps (§2, "Partition-Group Granularity").
 ///
-/// Internally one key-major hash table maps each join key to an entry
-/// holding everything the group knows about the key: its access clock
-/// and, per stream, the key's tuples in arrival order. An arriving tuple
-/// finds or creates its key's entry once, probes the *other* streams'
-/// lists there (m-way symmetric hash join, Viglas et al. [26]), appends
-/// itself to its own stream's list and stamps the clock.
-/// Nothing iterates the table in hash order on the way to bytes or
-/// results: every reader walks ascending keys.
+/// The state lives in three structures:
+///  - a JoinKeyIndex (open addressing) holding, per join key, the key's
+///    access clock and each stream's first and last row;
+///  - fixed-width 48-byte rows (seq, timestamp, value, category, payload
+///    offset and length, next-row link) in one row arena, chained per
+///    (key, stream) in arrival order — the stream is implied by the
+///    chain and the key lives in the index;
+///  - the payload bytes in one byte arena.
+/// A row is exactly Tuple::kHeaderBytes, so the live arena bytes equal
+/// the tracked bytes() and resident memory is the arenas' capacity plus
+/// the index. An arriving tuple finds or creates its key's slot once,
+/// probes the *other* streams' chains there (m-way symmetric hash join,
+/// Viglas et al. [26]), appends itself to its own stream's chain and
+/// stamps the clock.
+///
+/// Moving keys out (EvictBefore, SplitColdest, SplitBySecondaryHashBit)
+/// leaves dead rows and payload in the arenas; whenever the dead bytes
+/// would exceed the live ones, the arenas compact in place, so after any
+/// public call dead_bytes() <= bytes(). Destroying the group (a
+/// whole-group spill or relocation) frees the arenas whole.
+///
+/// Nothing reads the index in slot order on the way to bytes or results:
+/// every reader walks ascending keys.
 class PartitionGroup {
  public:
-  /// An empty group for `partition` over `num_streams` join inputs.
+  /// One stored tuple as a reader sees it. Its stream and join key are
+  /// those of the chain it was read from; `payload` points into the
+  /// group's arena.
+  struct RowRef {
+    int64_t seq = 0;
+    Tick timestamp = 0;
+    int64_t value = 0;
+    int64_t category = 0;
+    std::string_view payload;
+
+    /// The full tuple, given the chain's stream and key.
+    Tuple ToTuple(StreamId stream, JoinKey key) const;
+  };
+
+  /// One (key, stream) chain: a forward range of RowRefs in arrival
+  /// order, valid until the group next changes. Empty when the group
+  /// holds no such tuple.
+  class RowChain {
+   public:
+    class Iterator {
+     public:
+      Iterator() = default;
+      RowRef operator*() const { return group_->View(row_); }
+      Iterator& operator++() {
+        row_ = group_->rows_[row_].next;
+        return *this;
+      }
+      bool operator==(const Iterator& other) const {
+        return row_ == other.row_;
+      }
+
+     private:
+      friend class RowChain;
+      Iterator(const PartitionGroup* group, RowId row)
+          : group_(group), row_(row) {}
+      const PartitionGroup* group_ = nullptr;
+      RowId row_ = kNoRow;
+    };
+
+    RowChain() = default;
+    Iterator begin() const { return Iterator(group_, first_); }
+    Iterator end() const { return Iterator(group_, kNoRow); }
+    bool empty() const { return first_ == kNoRow; }
+    /// The chain's length; walks the chain.
+    size_t size() const;
+    /// The oldest tuple; the chain must not be empty.
+    RowRef front() const { return *begin(); }
+
+   private:
+    friend class PartitionGroup;
+    RowChain(const PartitionGroup* group, RowId first)
+        : group_(group), first_(first) {}
+    const PartitionGroup* group_ = nullptr;
+    RowId first_ = kNoRow;
+  };
+
+  /// An empty group for `partition` over `num_streams` join inputs. It
+  /// holds no heap memory until its first tuple.
   PartitionGroup(PartitionId partition, int num_streams);
 
   PartitionGroup(const PartitionGroup&) = delete;
@@ -65,14 +127,15 @@ class PartitionGroup {
   PartitionGroup& operator=(PartitionGroup&&) = default;
 
   /// Probes the other streams for matches with `tuple` and appends the
-  /// produced m-way results to `results`, then moves `tuple` into the
-  /// key's entry — one hash lookup covers the probe, the insert and the
+  /// produced m-way results to `results`, then appends `tuple` to its
+  /// key's chain — one index probe covers the probe, the insert and the
   /// access clock. Returns the number of results produced. Updates byte
   /// accounting and productivity counters. When `projection` is non-null
   /// each result's (group_key, agg_value) is computed from the member
   /// tuples. When `window_ticks > 0` only combinations whose member
   /// timestamps span at most the window qualify (sliding-window join
-  /// semantics for infinite streams).
+  /// semantics for infinite streams). Allocates only when the index or
+  /// an arena grows (amortized nothing).
   DCAPE_HOT_PATH int64_t ProbeAndInsert(
       Tuple tuple, std::vector<JoinResult>* results,
       const ResultProjection* projection = nullptr, Tick window_ticks = 0);
@@ -80,18 +143,20 @@ class PartitionGroup {
   /// Moves every tuple with timestamp < `cutoff` into `evicted` (a group
   /// of the same partition/stream count). Returns the number of evicted
   /// tuples; byte/tuple accounting moves with them. Output counters stay
-  /// with this group.
+  /// with this group. Every row is checked: a chain need not be in
+  /// timestamp order (a reinstalled older generation appends behind
+  /// newer tuples).
   int64_t EvictBefore(Tick cutoff, PartitionGroup* evicted);
 
   /// Inserts without probing (used when rebuilding state during cleanup).
   void InsertOnly(const Tuple& tuple);
-  /// Move overload: takes ownership of the tuple's payload.
-  void InsertOnly(Tuple&& tuple);
 
-  /// Merges all state and counters of `other` into this group. Used when
-  /// a relocated group lands on an engine that has since accumulated new
-  /// tuples for the same partition (defensive; the protocol normally
-  /// prevents this).
+  /// Merges all state and counters of `other` into this group: its rows
+  /// append behind this group's in every shared (key, stream) chain.
+  /// Used when a relocated group lands on an engine that has since
+  /// accumulated new tuples for the same partition (defensive; the
+  /// protocol normally prevents this), and when a failed eviction write
+  /// reinstalls the expired tuples.
   void MergeFrom(PartitionGroup&& other);
 
   /// Moves the *coldest whole keys* — every stream's tuples for a key
@@ -99,7 +164,8 @@ class PartitionGroup {
   /// moved. Coldness is the key's access clock (last ProbeAndInsert
   /// arrival for the key; keys never probed rank coldest), ties broken
   /// on ascending key, so the split is a pure function of the
-  /// processing history and deterministic across thread counts.
+  /// processing history and deterministic across thread counts. The
+  /// moved rows are copied into `cold`'s arenas.
   ///
   /// The hottest key never moves: the residue stays non-empty and
   /// probe-able, which is what makes a partial spill different from
@@ -118,9 +184,7 @@ class PartitionGroup {
 
   /// Distinct join keys across all streams (a partial spill or
   /// sub-partition split needs >= 2 to make progress). O(1).
-  int64_t DistinctKeyCount() const {
-    return static_cast<int64_t>(table_.size());
-  }
+  int64_t DistinctKeyCount() const { return index_.size(); }
 
   /// Exact number of bytes the v1 fixed-width Serialize appends. O(1):
   /// the tracked byte accounting already equals the tuples' raw
@@ -139,7 +203,8 @@ class PartitionGroup {
 
   /// Reconstructs a group from Serialize output of either format (the
   /// version is sniffed: the v2 magic decodes as a negative v1 partition
-  /// id, which no v1 encoder produces).
+  /// id, which no v1 encoder produces). v2 rows and payload bytes are
+  /// appended straight from the blob.
   [[nodiscard]] static StatusOr<PartitionGroup> Deserialize(
       std::string_view data);
 
@@ -152,8 +217,7 @@ class PartitionGroup {
   std::vector<JoinKey> SortedKeysForStream(StreamId stream) const;
 
   /// Stream `stream`'s tuples with join key `key`, in arrival order.
-  /// Empty when there are none; valid until the group next changes.
-  std::span<const Tuple> KeyTuples(JoinKey key, StreamId stream) const;
+  RowChain KeyTuples(JoinKey key, StreamId stream) const;
 
   PartitionId partition() const { return partition_; }
   int num_streams() const { return num_streams_; }
@@ -161,6 +225,21 @@ class PartitionGroup {
   int64_t tuple_count() const { return tuple_count_; }
   int64_t outputs() const { return outputs_; }
   bool empty() const { return tuple_count_ == 0; }
+
+  /// Heap bytes the group holds: the index's slot array plus both
+  /// arenas' capacity. O(1).
+  int64_t resident_bytes() const {
+    return index_.resident_bytes() +
+           static_cast<int64_t>(rows_.capacity() * sizeof(Row) +
+                                payload_.capacity());
+  }
+  /// Arena bytes (rows and payload) no chain reaches any more. At most
+  /// bytes() after every public call.
+  int64_t dead_bytes() const {
+    return static_cast<int64_t>(rows_.size() * sizeof(Row) +
+                                payload_.size()) -
+           bytes_;
+  }
 
   /// P_output / P_size (outputs per state byte); 0 for an empty group.
   double productivity() const {
@@ -175,43 +254,52 @@ class PartitionGroup {
   }
 
  private:
-  /// Everything the group holds for one join key. An entry exists iff it
-  /// holds a tuple.
-  struct KeyEntry {
-    explicit KeyEntry(int num_streams)
-        : streams(static_cast<size_t>(num_streams)) {}
-    /// Deterministic access clock: the access_clock_ tick of the last
-    /// ProbeAndInsert arrival with this key, 0 if none (ranks coldest).
-    /// Never serialized — a restored generation starts cold.
-    int64_t last_touch = 0;
-    /// streams[s] = the key's tuples of stream s, in arrival order.
-    std::vector<std::vector<Tuple>> streams;
+  /// One stored tuple. A row is exactly the tracked header size, so the
+  /// arenas' live bytes are the tracked bytes.
+  struct Row {
+    int64_t seq;
+    Tick timestamp;
+    int64_t value;
+    int64_t category;
+    /// The payload's bytes in payload_; 32-bit offsets bound a group to
+    /// 4 GiB of payload, which appending checks.
+    uint32_t payload_offset;
+    uint32_t payload_size;
+    /// The next row of the same (key, stream) chain, or kNoRow.
+    RowId next;
   };
-  using Table = std::unordered_map<JoinKey, KeyEntry>;
+  static_assert(sizeof(Row) == Tuple::kHeaderBytes);
 
-  /// The entry for `key`, created empty if the group has none (the
-  /// caller then appends to it). One hash lookup.
-  KeyEntry& EntryFor(JoinKey key);
-  /// Appends `tuple` to `entry`, with byte / tuple accounting.
-  void Append(KeyEntry* entry, Tuple&& tuple);
-  /// Appends each stream's tuples of `from` behind `into`'s and merges
-  /// the access clocks by max; byte / tuple accounting is the caller's.
-  static void Absorb(KeyEntry* into, KeyEntry* from);
-  /// Moves the entry at `it` — every stream's tuples and the access
-  /// clock — into `dst`, merging with an entry `dst` already has.
-  /// Returns the bytes moved.
-  int64_t MoveEntryTo(Table::iterator it, PartitionGroup* dst);
-  /// Entries in ascending key order.
-  std::vector<const Table::value_type*> SortedEntries() const;
+  RowRef View(RowId row) const;
+  /// Appends `tuple` as a row of stream `stream`'s chain at index slot
+  /// `slot`, copying its payload into the arena; updates byte / tuple
+  /// accounting. Returns the row.
+  RowId AppendRow(size_t slot, int stream, const RowRef& tuple);
+  /// Links rows `first`..`last`, already chained to each other, behind
+  /// stream `stream`'s chain at index slot `slot`.
+  void LinkBehind(size_t slot, int stream, RowId first, RowId last);
+  /// Copies the key at `slot` — every stream's chain and the access
+  /// clock — into `dst`, behind any tuples `dst` already has for it,
+  /// then drops it here (its rows become dead). Returns the bytes moved.
+  int64_t MoveKeyTo(size_t slot, PartitionGroup* dst);
+  /// Compacts the arenas in place (live rows slide to the front in
+  /// arena order, chains relinked) when the dead bytes exceed the live
+  /// ones, and shrinks an index that many erasures left sparse.
+  void ReclaimDead();
+  /// (key, slot) of every key, ascending by key.
+  std::vector<std::pair<JoinKey, size_t>> SortedSlots() const;
 
   PartitionId partition_;
   int num_streams_;
-  Table table_;
+  JoinKeyIndex index_;
+  std::vector<Row> rows_;
+  std::vector<char> payload_;
   int64_t bytes_ = 0;
   int64_t tuple_count_ = 0;
   int64_t outputs_ = 0;
   /// Logical counter advanced on every ProbeAndInsert; the arriving
-  /// tuple's tick number is its key's last_touch.
+  /// tuple's tick number is its key's access clock. Never serialized —
+  /// a restored generation starts cold (every clock 0).
   int64_t access_clock_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "state/state_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -31,10 +32,12 @@ int64_t StateManager::ProcessTuple(PartitionId partition, Tuple tuple,
   }
   PartitionGroup& group = *it->second;
   const int64_t bytes_before = group.bytes();
+  const int64_t resident_before = group.resident_bytes();
   const int64_t produced = group.ProbeAndInsert(
       std::move(tuple), results, projection_.has_value() ? &*projection_ : nullptr,
       window_ticks_);
-  total_bytes_ += group.bytes() - bytes_before;
+  AddBytes(group.bytes() - bytes_before);
+  AddResident(group.resident_bytes() - resident_before);
   total_tuples_ += 1;
   total_outputs_ += produced;
   if (produced == 0 && !disk_backed_.empty() &&
@@ -60,8 +63,9 @@ std::vector<StateManager::ExtractedGroup> StateManager::ExtractGroups(
     out.raw_bytes = group.SerializedByteSize();
     out.tuple_count = group.tuple_count();
     group.Serialize(&out.blob, segment_format_);
-    total_bytes_ -= group.bytes();
+    AddBytes(-group.bytes());
     total_tuples_ -= group.tuple_count();
+    AddResident(-group.resident_bytes());
     groups_.erase(it);
     extracted.push_back(std::move(out));
   }
@@ -115,20 +119,23 @@ std::vector<StateManager::ExtractedGroup> StateManager::ExtractColdState(
 
   PartitionGroup cold(partition, num_streams_);
   bool partial = false;
+  const int64_t resident_before = group.resident_bytes();
   if (target_bytes < group.bytes() &&
       group.SplitColdest(target_bytes, &cold) > 0) {
     // Bucket-granular path: the hot residue stays resident (SplitColdest
     // never moves the hottest key, so the group cannot be empty here).
     DCAPE_CHECK(!group.empty());
     partial = true;
-    total_bytes_ -= cold.bytes();
+    AddBytes(-cold.bytes());
     total_tuples_ -= cold.tuple_count();
+    AddResident(group.resident_bytes() - resident_before);
   } else {
     // Whole-group path: the target covers the group, or the group has a
     // single key and cannot split at bucket granularity.
     cold = std::move(group);
-    total_bytes_ -= cold.bytes();
+    AddBytes(-cold.bytes());
     total_tuples_ -= cold.tuple_count();
+    AddResident(-resident_before);
     groups_.erase(it);
   }
 
@@ -157,14 +164,17 @@ Status StateManager::InstallGroup(std::string_view blob) {
     return Status::InvalidArgument(
         "installed group has mismatched stream count");
   }
-  total_bytes_ += group.bytes();
+  AddBytes(group.bytes());
   total_tuples_ += group.tuple_count();
   auto it = groups_.find(group.partition());
   if (it == groups_.end()) {
+    AddResident(group.resident_bytes());
     groups_.emplace(group.partition(),
                     std::make_unique<PartitionGroup>(std::move(group)));
   } else {
+    const int64_t resident_before = it->second->resident_bytes();
     it->second->MergeFrom(std::move(group));
+    AddResident(it->second->resident_bytes() - resident_before);
   }
   return Status::OK();
 }
@@ -176,10 +186,12 @@ std::vector<StateManager::ExtractedGroup> StateManager::EvictExpired(
   for (auto& [partition, group] : groups_) {
     PartitionGroup expired(partition, num_streams_);
     const int64_t bytes_before = group->bytes();
+    const int64_t resident_before = group->resident_bytes();
     const int64_t moved = group->EvictBefore(cutoff, &expired);
     if (moved == 0) continue;
-    total_bytes_ -= bytes_before - group->bytes();
+    AddBytes(group->bytes() - bytes_before);
     total_tuples_ -= moved;
+    AddResident(group->resident_bytes() - resident_before);
     ExtractedGroup out;
     out.partition = partition;
     out.bytes = expired.bytes();
@@ -189,8 +201,21 @@ std::vector<StateManager::ExtractedGroup> StateManager::EvictExpired(
     evicted.push_back(std::move(out));
     if (group->empty()) emptied.push_back(partition);
   }
-  for (PartitionId p : emptied) groups_.erase(p);
+  for (PartitionId p : emptied) {
+    AddResident(-groups_.at(p)->resident_bytes());
+    groups_.erase(p);
+  }
   return evicted;
+}
+
+void StateManager::AddBytes(int64_t delta) {
+  total_bytes_ += delta;
+  peak_bytes_ = std::max(peak_bytes_, total_bytes_);
+}
+
+void StateManager::AddResident(int64_t delta) {
+  resident_bytes_ += delta;
+  peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
 }
 
 void StateManager::LockGroups(const std::vector<PartitionId>& partitions) {

@@ -131,6 +131,15 @@ class StateManager {
   std::vector<PartitionId> PartitionIds() const;
 
   int64_t total_bytes() const { return total_bytes_; }
+  /// High-water mark of total_bytes().
+  int64_t peak_bytes() const { return peak_bytes_; }
+  /// Heap bytes the resident groups hold: every group's index plus
+  /// arena capacity (PartitionGroup::resident_bytes). Kept
+  /// incrementally; it moves only when an index or arena grows, shrinks
+  /// or compacts, or a group comes or goes.
+  int64_t resident_bytes() const { return resident_bytes_; }
+  /// Exact high-water mark of resident_bytes().
+  int64_t peak_resident_bytes() const { return peak_resident_bytes_; }
   int64_t group_count() const { return static_cast<int64_t>(groups_.size()); }
   int64_t total_tuples() const { return total_tuples_; }
   /// Cumulative join results produced by ProcessTuple.
@@ -147,6 +156,10 @@ class StateManager {
   /// partial-extraction paths).
   ExtractedGroup SerializePiece(PartitionGroup&& piece, bool partial,
                                 int sub_depth);
+  /// Adds `delta` to the tracked / resident totals and raises their
+  /// high-water marks.
+  void AddBytes(int64_t delta);
+  void AddResident(int64_t delta);
 
   int num_streams_;
   std::optional<ResultProjection> projection_;
@@ -157,6 +170,9 @@ class StateManager {
   std::set<PartitionId> disk_backed_;
   int64_t cold_probe_misses_ = 0;
   int64_t total_bytes_ = 0;
+  int64_t peak_bytes_ = 0;
+  int64_t resident_bytes_ = 0;
+  int64_t peak_resident_bytes_ = 0;
   int64_t total_tuples_ = 0;
   int64_t total_outputs_ = 0;
 };

@@ -143,11 +143,16 @@ StatusOr<int64_t> ByteReader::GetZigzag() {
 }
 
 StatusOr<std::string> ByteReader::GetVString() {
+  DCAPE_ASSIGN_OR_RETURN(std::string_view s, GetVStringView());
+  return std::string(s);
+}
+
+StatusOr<std::string_view> ByteReader::GetVStringView() {
   DCAPE_ASSIGN_OR_RETURN(uint64_t size, GetVarint());
   if (size > remaining()) {
     return Status::OutOfRange("truncated input reading vstring body");
   }
-  std::string s(data_.substr(pos_, static_cast<size_t>(size)));
+  const std::string_view s = data_.substr(pos_, static_cast<size_t>(size));
   pos_ += static_cast<size_t>(size);
   return s;
 }

@@ -69,6 +69,9 @@ class ByteReader {
   [[nodiscard]] StatusOr<uint64_t> GetVarint();
   [[nodiscard]] StatusOr<int64_t> GetZigzag();
   [[nodiscard]] StatusOr<std::string> GetVString();
+  /// GetVString without the copy: a view into the reader's input, valid
+  /// as long as that input is.
+  [[nodiscard]] StatusOr<std::string_view> GetVStringView();
 
   /// Consumes `n` bytes without decoding them (payload skipping in the
   /// section scanner / streaming cursors). OutOfRange on truncation.

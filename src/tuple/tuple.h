@@ -40,13 +40,16 @@ struct Tuple {
   /// Opaque payload bytes (remaining columns).
   std::string payload;
 
+  /// The fixed-width part of ByteSize: every column but the payload,
+  /// plus the payload's length prefix.
+  static constexpr int64_t kHeaderBytes =
+      sizeof(StreamId) + sizeof(int64_t) + sizeof(JoinKey) + sizeof(Tick) +
+      2 * sizeof(int64_t) + sizeof(uint32_t);
+
   /// Bytes this tuple occupies when resident in operator state or when
   /// serialized: the fixed header plus the payload.
   int64_t ByteSize() const {
-    return static_cast<int64_t>(sizeof(StreamId) + sizeof(int64_t) +
-                                sizeof(JoinKey) + sizeof(Tick) +
-                                2 * sizeof(int64_t) + sizeof(uint32_t)) +
-           static_cast<int64_t>(payload.size());
+    return kHeaderBytes + static_cast<int64_t>(payload.size());
   }
 
   friend bool operator==(const Tuple& a, const Tuple& b) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -58,8 +57,9 @@ std::vector<Tuple> CanonicalTuples(const PartitionGroup& group) {
   std::vector<Tuple> all;
   for (StreamId s = 0; s < group.num_streams(); ++s) {
     for (JoinKey key : group.SortedKeysForStream(s)) {
-      const std::span<const Tuple> tuples = group.KeyTuples(key, s);
-      all.insert(all.end(), tuples.begin(), tuples.end());
+      for (const PartitionGroup::RowRef t : group.KeyTuples(key, s)) {
+        all.push_back(t.ToTuple(s, key));
+      }
     }
   }
   std::sort(all.begin(), all.end(), [](const Tuple& a, const Tuple& b) {

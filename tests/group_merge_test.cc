@@ -115,7 +115,9 @@ TEST(CrossJoinGenerationsTest, MatchesBruteForceOnMixedKeys) {
   for (StreamId s = 0; s < 2; ++s) {
     for (const PartitionGroup* g : {&older, &newer}) {
       for (JoinKey key : g->SortedKeysForStream(s)) {
-        for (const Tuple& t : g->KeyTuples(key, s)) merged.InsertOnly(t);
+        for (const PartitionGroup::RowRef t : g->KeyTuples(key, s)) {
+          merged.InsertOnly(t.ToTuple(s, key));
+        }
       }
     }
   }

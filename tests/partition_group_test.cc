@@ -190,6 +190,23 @@ TEST(PartitionGroupTest, SteadyStateProbeAllocatesNothing) {
       << "probing, building four results and copying one allocated";
 }
 
+TEST(PartitionGroupTest, NewKeysAllocateAmortizedNothing) {
+  // Every arrival brings a key the group has not seen. The key index and
+  // both arenas grow geometrically, so 100,000 new keys cost a few dozen
+  // allocations in all, not a few per key.
+  constexpr int kKeys = 100000;
+  PartitionGroup group(0, 3);
+  const int64_t before = g_allocations;
+  g_count_allocations = true;
+  for (int k = 0; k < kKeys; ++k) {
+    group.ProbeAndInsert(MakeTuple(k % 3, k, k), nullptr);
+  }
+  g_count_allocations = false;
+  EXPECT_EQ(group.DistinctKeyCount(), kKeys);
+  EXPECT_LT(g_allocations - before, 100)
+      << "inserting " << kKeys << " new keys allocated per key";
+}
+
 }  // namespace
 }  // namespace dcape
 

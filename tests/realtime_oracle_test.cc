@@ -173,6 +173,7 @@ TEST(RealtimeOracleTest, RunResultMatchesRegistry) {
   ASSERT_GT(result.cleanup.segments_read, 0);
   ASSERT_GT(result.cleanup.blocks_prefetched, 0);
   testing::ExpectStorageAndCleanupMatchRegistry(result, driver.metrics());
+  testing::ExpectStateMemoryMatchesRegistry(result, driver.metrics());
 }
 
 TEST(RealtimeOracleTest, ReportsSustainedRates) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
+
 namespace dcape {
 namespace {
 
@@ -133,6 +138,56 @@ TEST(StateManagerTest, TotalsConservedAcrossExtractInstall) {
   EXPECT_EQ(a.total_tuples(), 0);
   EXPECT_EQ(b.total_bytes(), total_bytes);
   EXPECT_EQ(b.total_tuples(), total_tuples);
+}
+
+// Sum of the resident groups' own figures, which the manager's running
+// total must equal after every call.
+int64_t SumOfGroupResidentBytes(const StateManager& state) {
+  int64_t sum = 0;
+  for (PartitionId p : state.PartitionIds()) {
+    sum += state.FindGroup(p)->resident_bytes();
+  }
+  return sum;
+}
+
+TEST(StateManagerTest, ResidentBytesFollowEveryGroupChange) {
+  StateManager state(2, std::nullopt, /*window_ticks=*/50);
+  int64_t peak_tracked = 0;
+  int64_t peak_resident = 0;
+  auto check = [&](const char* after) {
+    SCOPED_TRACE(after);
+    EXPECT_EQ(state.resident_bytes(), SumOfGroupResidentBytes(state));
+    peak_tracked = std::max(peak_tracked, state.total_bytes());
+    peak_resident = std::max(peak_resident, state.resident_bytes());
+    EXPECT_EQ(state.peak_bytes(), peak_tracked);
+    EXPECT_EQ(state.peak_resident_bytes(), peak_resident);
+    // The arenas hold every tracked byte.
+    EXPECT_GE(state.resident_bytes(), state.total_bytes());
+  };
+  for (int i = 0; i < 600; ++i) {
+    Tuple t = MakeTuple(i % 2, i, i % 37);
+    t.timestamp = i;
+    state.ProcessTuple(i % 3, std::move(t), nullptr);
+    check("ProcessTuple");
+  }
+  ASSERT_FALSE(state.EvictExpired(/*cutoff=*/400).empty());
+  check("EvictExpired");
+  ASSERT_FALSE(state.ExtractColdState(0, state.FindGroup(0)->bytes() / 2,
+                                      /*max_piece_bytes=*/1 << 20,
+                                      /*max_depth=*/2)
+                   .empty());
+  check("ExtractColdState (partial)");
+  auto extracted = state.ExtractGroups({1});
+  ASSERT_EQ(extracted.size(), 1u);
+  check("ExtractGroups");
+  ASSERT_TRUE(state.InstallGroup(extracted[0].blob).ok());
+  check("InstallGroup (new group)");
+  ASSERT_TRUE(state.InstallGroup(extracted[0].blob).ok());
+  check("InstallGroup (merge)");
+  state.ExtractGroups(state.PartitionIds());
+  check("ExtractGroups (all)");
+  EXPECT_EQ(state.resident_bytes(), 0);
+  EXPECT_GT(state.peak_resident_bytes(), 0);
 }
 
 }  // namespace

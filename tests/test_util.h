@@ -114,6 +114,27 @@ inline void ExpectStorageAndCleanupMatchRegistry(
             registry.Value(obs::m::kCleanupPrefetchStallTicks));
 }
 
+/// The engines' join-state memory peaks in RunResult must read what the
+/// registry holds. Resident bytes (index plus arena capacity) can never
+/// be below the tracked bytes, whose rows they store.
+inline void ExpectStateMemoryMatchesRegistry(
+    const RunResult& result, const obs::MetricsRegistry& registry) {
+  for (size_t e = 0; e < result.engines.size(); ++e) {
+    const int entity = static_cast<int>(e);
+    const QueryEngine::Counters& engine = result.engines[e];
+    EXPECT_EQ(engine.peak_state_tracked_bytes,
+              registry.Value(obs::m::kStateTrackedBytes, entity))
+        << "engine " << e;
+    EXPECT_EQ(engine.peak_state_resident_bytes,
+              registry.Value(obs::m::kStateResidentBytes, entity))
+        << "engine " << e;
+    EXPECT_GT(engine.peak_state_tracked_bytes, 0) << "engine " << e;
+    EXPECT_GE(engine.peak_state_resident_bytes,
+              engine.peak_state_tracked_bytes)
+        << "engine " << e;
+  }
+}
+
 }  // namespace testing
 }  // namespace dcape
 

@@ -132,6 +132,7 @@ TEST(MetricsRegistryIntegrationTest, RunResultMatchesRegistry) {
   ASSERT_GT(result.storage.segments_written, 0);
   ASSERT_GT(result.cleanup.blocks_prefetched, 0);
   testing::ExpectStorageAndCleanupMatchRegistry(result, registry);
+  testing::ExpectStateMemoryMatchesRegistry(result, registry);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(EvictBeforeTest, MovesExpiredTuplesAndAccounting) {
   // The surviving tuple is the ts=90 one.
   ASSERT_EQ(group.SortedKeysForStream(0).size(), 1u);
   ASSERT_EQ(group.SortedKeysForStream(0)[0], 5);
-  EXPECT_EQ(group.KeyTuples(5, 0)[0].seq, 2);
+  EXPECT_EQ(group.KeyTuples(5, 0).front().seq, 2);
   // Re-running evicts nothing.
   PartitionGroup none(3, 2);
   EXPECT_EQ(group.EvictBefore(50, &none), 0);

@@ -7,11 +7,13 @@ Encodes invariants no generic tool knows about this codebase:
                       rand() outside src/sim and tools. The engine runs
                       on a virtual clock and seeded splitmix64 streams;
                       one wall-clock read makes replay non-bit-identical.
-  unordered-net       No iteration over std::unordered_map/set in any
-                      function that (transitively) reaches Network::Send
-                      or serialization. Hash iteration order depends on
-                      the library and on insertion history, so it leaks
-                      nondeterminism into message and blob bytes.
+  unordered-net       No iteration over std::unordered_map/set, or over
+                      the join state's open-addressed JoinKeyIndex, in
+                      any function that (transitively) reaches
+                      Network::Send or serialization. Hash (slot) order
+                      depends on the hash and on insertion history, so
+                      it leaks nondeterminism into message and blob
+                      bytes.
   ptr-key-ordered     No std::map/std::set keyed on a pointer. Address
                       order changes run to run, so iteration order —
                       and everything derived from it — is random.
@@ -263,20 +265,26 @@ def lex_functions(source):
         source.functions.append(fn)
 
 
+# Hash-ordered containers: the standard unordered ones and the join
+# state's open-addressed key index (src/state/key_index.h), whose
+# iteration visits slots in hash order.
 _UNORDERED_DECL_RE = re.compile(
-    r"\bstd::unordered_(?:map|set|multimap|multiset)\b"
+    r"\bstd::unordered_(?:map|set|multimap|multiset)\b|\bJoinKeyIndex\b"
 )
-# `<type containing unordered_> name_{ = ... ;}` — member or local.
+# `<type containing unordered_> name_{ = ... ;}` or `JoinKeyIndex name_`
+# — member or local.
+_UNORDERED_TYPE = r"(?:unordered_[^;{}()]*?>|\bJoinKeyIndex)"
 _DECL_IDENT_RE = re.compile(
-    r"unordered_[^;{}()]*?>[&\s]+([A-Za-z_]\w*)\s*[;={(\[]"
+    _UNORDERED_TYPE + r"[&\s]+([A-Za-z_]\w*)\s*[;={(\[]"
 )
 # Aliases: `auto& x = <expr>` / `const auto& x = <expr>;`
 _ALIAS_RE = re.compile(
     r"\bauto&?\s+([A-Za-z_]\w*)\s*=\s*([^;]+);"
 )
-# Function whose declared return type mentions unordered_.
+# Function whose declared return type is a hash-ordered container.
 _UNORDERED_RETURN_RE = re.compile(
-    r"unordered_[^;{}()]*?>&?\s*\n?\s*(?:[A-Za-z_]\w*::)*([A-Za-z_]\w*)\s*\("
+    _UNORDERED_TYPE +
+    r"&?\s*\n?\s*(?:[A-Za-z_]\w*::)*([A-Za-z_]\w*)\s*\("
 )
 
 
