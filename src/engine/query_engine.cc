@@ -113,7 +113,7 @@ QueryEngine::Counters QueryEngine::counters() const {
 
 void QueryEngine::OnTupleBatch(Tick now, TupleBatch&& batch) {
   if (now >= busy_until_ && pending_batches_.empty()) {
-    ProcessBatch(now, std::move(batch));
+    ProcessBatch(now, batch);
   } else {
     pending_batches_.push_back(std::move(batch));
   }
@@ -246,9 +246,9 @@ void QueryEngine::OnMessage(Tick now, const Message& message) {
   }
 }
 
-void QueryEngine::ProcessBatch(Tick now, TupleBatch&& batch) {
+void QueryEngine::ProcessBatch(Tick now, const TupleBatch& batch) {
   std::vector<JoinResult> results;
-  for (Tuple& tuple : batch.tuples) {
+  for (const Tuple& tuple : batch.tuples) {
     const PartitionId partition =
         StreamGenerator::PartitionOfKey(tuple.join_key);
     const auto stream = static_cast<size_t>(tuple.stream_id);
@@ -259,7 +259,7 @@ void QueryEngine::ProcessBatch(Tick now, TupleBatch&& batch) {
           " processed a tuple for relocated-away partition " +
           std::to_string(partition));
     }
-    mjoin_.Process(partition, std::move(tuple), &results);
+    mjoin_.Process(partition, tuple, &results);
     c_.tuples_processed->Increment();
     c_.tuples_per_stream[stream]->Increment();
   }
@@ -288,9 +288,8 @@ void QueryEngine::ProcessBatch(Tick now, TupleBatch&& batch) {
 
 void QueryEngine::DrainPending(Tick now) {
   while (!pending_batches_.empty() && now >= busy_until_) {
-    TupleBatch batch = std::move(pending_batches_.front());
+    ProcessBatch(now, pending_batches_.front());
     pending_batches_.pop_front();
-    ProcessBatch(now, std::move(batch));
   }
 }
 
@@ -365,19 +364,19 @@ void QueryEngine::DoSpill(Tick now, const std::vector<SpillRequest>& plan,
 void QueryEngine::EvictExpired(Tick now) {
   const Tick cutoff = now - config_.window_ticks;
   if (cutoff <= 0) return;
-  std::vector<StateManager::ExtractedGroup> evicted =
-      mjoin_.state().EvictExpired(cutoff);
-  if (evicted.empty()) return;
-
   // Partitions with disk-resident generations still owe cross-generation
   // results involving the expired tuples; preserve those as eviction
   // generations. Expired tuples of purely memory-resident partitions
   // produced everything they ever will (window + monotonic arrivals) and
-  // can be dropped.
+  // are dropped unencoded.
   std::set<PartitionId> has_disk;
   for (const SpillSegmentMeta& meta : spill_store_.segments()) {
     has_disk.insert(meta.partition);
   }
+  std::vector<StateManager::ExtractedGroup> evicted =
+      mjoin_.state().EvictExpired(cutoff, &has_disk);
+  if (evicted.empty()) return;
+
   int64_t dropped = 0;
   Tick io_total = 0;
   int64_t tuples_total = 0;

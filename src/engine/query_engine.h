@@ -201,8 +201,8 @@ class QueryEngine {
     int drain_markers = 0;
   };
 
-  /// Joins the batch's tuples, moving each into the join state.
-  void ProcessBatch(Tick now, TupleBatch&& batch);
+  /// Joins the batch's tuples; the join state copies what it keeps.
+  void ProcessBatch(Tick now, const TupleBatch& batch);
   void DrainPending(Tick now);
   /// Executes a gradual spill plan, updating counters and busy time.
   /// `forced` marks coordinator-initiated spills (active-disk).

@@ -14,7 +14,9 @@ int Histogram::BucketOf(int64_t value) {
   return bucket;
 }
 
-void Histogram::Add(int64_t value) {
+void Histogram::Add(int64_t value, int64_t count) {
+  DCAPE_CHECK_GE(count, 0);
+  if (count == 0) return;
   value = std::max<int64_t>(0, value);
   if (count_ == 0) {
     min_ = max_ = value;
@@ -22,9 +24,9 @@ void Histogram::Add(int64_t value) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  count_ += 1;
-  sum_ += value;
-  buckets_[static_cast<size_t>(BucketOf(value))] += 1;
+  count_ += count;
+  sum_ += value * count;
+  buckets_[static_cast<size_t>(BucketOf(value))] += count;
 }
 
 int64_t Histogram::Quantile(double q) const {

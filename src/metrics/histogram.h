@@ -14,8 +14,9 @@ class Histogram {
  public:
   Histogram() : buckets_(64, 0) {}
 
-  /// Records one sample (negatives clamp to 0).
-  void Add(int64_t value);
+  /// Records `count` samples of `value` (negatives clamp to 0); the same
+  /// as `count` calls of Add(value).
+  void Add(int64_t value, int64_t count = 1);
 
   /// Number of samples.
   int64_t count() const { return count_; }

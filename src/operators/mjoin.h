@@ -44,9 +44,9 @@ class MJoin {
 
   /// Processes one input tuple through its partition group, appending any
   /// produced m-way results. Returns the number of results.
-  int64_t Process(PartitionId partition, Tuple tuple,
+  int64_t Process(PartitionId partition, const Tuple& tuple,
                   std::vector<JoinResult>* results) {
-    return state_.ProcessTuple(partition, std::move(tuple), results);
+    return state_.ProcessTuple(partition, tuple, results);
   }
 
   /// Outcome of one spill adaptation.

@@ -20,11 +20,15 @@ namespace {
 constexpr int64_t kIdleWaitMicros = 500;
 /// Messages drained per Poll round before housekeeping runs again.
 constexpr int kPollBudget = 256;
+/// Longest sleep between the sampler's stop checks. Run joins the
+/// sampler once the pipeline is quiet, so whatever is left of this sleep
+/// adds itself to the run's wall time.
+constexpr int64_t kSamplerSleepMicros = 2000;
 /// Most ticks the generator coalesces into one emission when it is
 /// behind schedule (free-run always is). A stream emits at most one
-/// tuple per tick, so this also bounds every data-plane batch at 64
+/// tuple per tick, so this also bounds every data-plane batch at 256
 /// tuples; kDefaultLinkCapacity is sized against it.
-constexpr Tick kMaxTicksPerEmit = 64;
+constexpr Tick kMaxTicksPerEmit = 256;
 
 }  // namespace
 
@@ -71,12 +75,12 @@ RealtimeDriver::RealtimeDriver(const ClusterConfig& config,
 
 void RealtimeDriver::OnResultBatch(const ResultBatch& batch) {
   if (batch.emit_wall_us > 0 && !batch.results.empty()) {
+    // Every result of the batch shares the latency: one sample each.
     const int64_t lat =
         std::max<int64_t>(0, clock_.NowMicros() - batch.emit_wall_us);
-    for (size_t i = 0; i < batch.results.size(); ++i) {
-      latency_us_->Add(lat);
-      latency_ms_.Add(lat / 1000);
-    }
+    const auto n = static_cast<int64_t>(batch.results.size());
+    latency_us_->Add(lat, n);
+    latency_ms_.Add(lat / 1000, n);
   }
   results_total_.fetch_add(static_cast<int64_t>(batch.results.size()),
                            std::memory_order_relaxed);
@@ -216,8 +220,8 @@ void RealtimeDriver::SamplerLoop() {
                 std::memory_order_relaxed);
           });
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        std::min<int64_t>(period_ms, 50)));
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(kSamplerSleepMicros));
   }
 }
 

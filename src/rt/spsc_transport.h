@@ -19,10 +19,10 @@ namespace rt {
 /// Default ring capacity (messages) per directed link: the one default
 /// behind SpscTransport::Config, RealtimeOptions and
 /// `dcape_run --rt-queue-capacity`. It is sized together with the
-/// generator's batch cap (kMaxTicksPerEmit, rt/realtime_driver.cc): a
-/// data-plane message carries at most that many tuples, so a link holds
-/// at most slots × cap tuples in flight.
-inline constexpr size_t kDefaultLinkCapacity = 256;
+/// generator's batch cap (kMaxTicksPerEmit = 256, rt/realtime_driver.cc):
+/// a data-plane message carries at most that many tuples, so a link
+/// holds at most 64 × 256 = 16,384 tuples in flight.
+inline constexpr size_t kDefaultLinkCapacity = 64;
 
 /// The realtime cluster interconnect: one bounded lock-free SPSC ring
 /// per directed link (from -> to), created lazily on first send.

@@ -44,24 +44,19 @@ size_t PartitionGroup::RowChain::size() const {
 
 PartitionGroup::RowRef PartitionGroup::View(RowId row) const {
   const Row& r = rows_[row];
-  // An empty payload may sit in an empty arena, whose data() is null.
-  const std::string_view payload =
-      r.payload_size == 0
-          ? std::string_view()
-          : std::string_view(payload_.data() + r.payload_offset,
-                             r.payload_size);
-  return RowRef{r.seq, r.timestamp, r.value, r.category, payload};
+  return RowRef{r.seq, r.timestamp, r.value, r.category,
+                payload_.Get(r.payload_handle, r.payload_size)};
 }
 
 RowId PartitionGroup::AppendRow(size_t slot, int stream, const RowRef& tuple) {
-  // 32-bit row links and payload offsets: overflow aborts, never wraps.
+  // 32-bit row links and payload handles: overflow aborts, never wraps
+  // (PayloadArena::Store checks the handles).
   DCAPE_CHECK_LT(rows_.size(), size_t{kNoRow});
-  DCAPE_CHECK_LE(payload_.size() + tuple.payload.size(), size_t{UINT32_MAX});
-  const RowId row = static_cast<RowId>(rows_.size());
-  rows_.push_back(Row{tuple.seq, tuple.timestamp, tuple.value, tuple.category,
-                      static_cast<uint32_t>(payload_.size()),
-                      static_cast<uint32_t>(tuple.payload.size()), kNoRow});
-  payload_.insert(payload_.end(), tuple.payload.begin(), tuple.payload.end());
+  DCAPE_CHECK_LE(tuple.payload.size(), size_t{UINT32_MAX});
+  const RowId row = static_cast<RowId>(rows_.Allot(1));
+  rows_[row] = Row{tuple.seq, tuple.timestamp, tuple.value, tuple.category,
+                   payload_.Store(tuple.payload),
+                   static_cast<uint32_t>(tuple.payload.size()), kNoRow};
   LinkBehind(slot, stream, row, row);
   bytes_ += Tuple::kHeaderBytes + static_cast<int64_t>(tuple.payload.size());
   tuple_count_ += 1;
@@ -79,7 +74,7 @@ void PartitionGroup::LinkBehind(size_t slot, int stream, RowId first,
   }
 }
 
-int64_t PartitionGroup::ProbeAndInsert(Tuple tuple,
+int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
                                        std::vector<JoinResult>* results,
                                        const ResultProjection* projection,
                                        Tick window_ticks) {
@@ -218,23 +213,24 @@ void PartitionGroup::InsertOnly(const Tuple& tuple) {
 void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   DCAPE_CHECK_EQ(partition_, other.partition_);
   DCAPE_CHECK_EQ(num_streams_, other.num_streams_);
-  // `other`'s arenas append whole behind this group's (its dead rows
-  // too, so dead <= live still holds), then every chain of `other`
-  // links in behind this group's chain for the same (key, stream).
-  // Access clocks merge by max: both inputs are deterministic, so the
-  // merged coldness ordering is too. A deserialized generation has
-  // every clock at 0 and ranks coldest, which is the right prior.
+  // Every row of `other`, dead ones too, is copied behind this group's
+  // in arena order with its payload, so its row ids shift by row_base;
+  // then every chain of `other` links in behind this group's chain for
+  // the same (key, stream). Access clocks merge by max: both inputs are
+  // deterministic, so the merged coldness ordering is too. A
+  // deserialized generation has every clock at 0 and ranks coldest,
+  // which is the right prior.
   DCAPE_CHECK_LE(rows_.size() + other.rows_.size(), size_t{kNoRow});
-  DCAPE_CHECK_LE(payload_.size() + other.payload_.size(), size_t{UINT32_MAX});
   const RowId row_base = static_cast<RowId>(rows_.size());
-  const uint32_t payload_base = static_cast<uint32_t>(payload_.size());
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-  for (size_t r = row_base; r < rows_.size(); ++r) {
-    if (rows_[r].next != kNoRow) rows_[r].next += row_base;
-    rows_[r].payload_offset += payload_base;
+  rows_.Reserve(other.rows_.size());
+  payload_.Reserve(other.payload_.block_bytes());
+  for (size_t r = 0; r < other.rows_.size(); ++r) {
+    Row row = other.rows_[r];
+    if (row.next != kNoRow) row.next += row_base;
+    row.payload_handle = payload_.Store(
+        other.payload_.Get(row.payload_handle, row.payload_size));
+    rows_[rows_.Allot(1)] = row;
   }
-  payload_.insert(payload_.end(), other.payload_.begin(),
-                  other.payload_.end());
   for (size_t theirs : other.index_) {
     const size_t slot = index_.FindOrInsert(other.index_.key(theirs));
     for (int s = 0; s < num_streams_; ++s) {
@@ -251,6 +247,8 @@ void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   outputs_ += other.outputs_;
   access_clock_ = std::max(access_clock_, other.access_clock_);
   other = PartitionGroup(other.partition_, other.num_streams_);
+  // The copies may leave gaps at block tails that push dead past live.
+  ReclaimDead();
 }
 
 int64_t PartitionGroup::MoveKeyTo(size_t slot, PartitionGroup* dst) {
@@ -322,8 +320,8 @@ PartitionGroup PartitionGroup::SplitBySecondaryHashBit(int bit) {
 void PartitionGroup::ReclaimDead() {
   if (dead_bytes() <= bytes_) return;
   if (tuple_count_ == 0) {
-    rows_ = {};
-    payload_ = {};
+    rows_.Clear();
+    payload_.Clear();
     index_.ShrinkToFit();
     return;
   }
@@ -340,19 +338,15 @@ void PartitionGroup::ReclaimDead() {
     }
   }
   RowId live = 0;
-  size_t payload_end = 0;
+  PayloadArena::Compaction payloads(&payload_);
   for (size_t r = 0; r < rows_.size(); ++r) {
     if (moved_to[r] == kNoRow) continue;
     Row row = rows_[r];
-    if (row.payload_size > 0) {
-      std::memmove(payload_.data() + payload_end,
-                   payload_.data() + row.payload_offset, row.payload_size);
-    }
-    row.payload_offset = static_cast<uint32_t>(payload_end);
-    payload_end += row.payload_size;
+    row.payload_handle = payloads.Slide(row.payload_handle, row.payload_size);
     moved_to[r] = live;
     rows_[live++] = row;
   }
+  payloads.Seal();
   for (RowId r = 0; r < live; ++r) {
     if (rows_[r].next != kNoRow) rows_[r].next = moved_to[rows_[r].next];
   }
@@ -364,8 +358,7 @@ void PartitionGroup::ReclaimDead() {
                        moved_to[index_.last(slot, s)]);
     }
   }
-  rows_.resize(live);
-  payload_.resize(payload_end);
+  rows_.Truncate(live);
   index_.ShrinkToFit();
 }
 

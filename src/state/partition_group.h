@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/virtual_clock.h"
+#include "state/block_arena.h"
 #include "state/key_index.h"
 #include "tuple/projection.h"
 #include "tuple/serde.h"
@@ -40,21 +41,27 @@ struct GroupStats {
 ///  - a JoinKeyIndex (open addressing) holding, per join key, the key's
 ///    access clock and each stream's first and last row;
 ///  - fixed-width 48-byte rows (seq, timestamp, value, category, payload
-///    offset and length, next-row link) in one row arena, chained per
+///    handle and length, next-row link) in a row arena, chained per
 ///    (key, stream) in arrival order — the stream is implied by the
 ///    chain and the key lives in the index;
-///  - the payload bytes in one byte arena.
-/// A row is exactly Tuple::kHeaderBytes, so the live arena bytes equal
-/// the tracked bytes() and resident memory is the arenas' capacity plus
-/// the index. An arriving tuple finds or creates its key's slot once,
-/// probes the *other* streams' chains there (m-way symmetric hash join,
-/// Viglas et al. [26]), appends itself to its own stream's chain and
-/// stamps the clock.
+///  - the payload bytes in a payload arena.
+/// Both arenas grow in fixed blocks that never move (BlockArena: 4,096
+/// rows, 256 KiB of payload); only block 0 grows by copying, up to a
+/// full block, so a small group holds what vectors would and a large
+/// one never copies its state to grow. A row is exactly
+/// Tuple::kHeaderBytes, so the live arena bytes equal the tracked
+/// bytes() and resident memory is the arenas' capacity plus the index.
+/// An arriving tuple finds or creates its key's slot once, probes the
+/// *other* streams' chains there (m-way symmetric hash join, Viglas et
+/// al. [26]), appends itself to its own stream's chain and stamps the
+/// clock.
 ///
 /// Moving keys out (EvictBefore, SplitColdest, SplitBySecondaryHashBit)
-/// leaves dead rows and payload in the arenas; whenever the dead bytes
-/// would exceed the live ones, the arenas compact in place, so after any
-/// public call dead_bytes() <= bytes(). Destroying the group (a
+/// leaves dead rows and payload in the arenas, and a payload that does
+/// not fit a block's tail leaves that tail unused; both count as dead.
+/// Whenever the dead bytes would exceed the live ones, the arenas
+/// compact in place and free the blocks past their new end, so after
+/// any public call dead_bytes() <= bytes(). Destroying the group (a
 /// whole-group spill or relocation) frees the arenas whole.
 ///
 /// Nothing reads the index in slot order on the way to bytes or results:
@@ -137,7 +144,7 @@ class PartitionGroup {
   /// semantics for infinite streams). Allocates only when the index or
   /// an arena grows (amortized nothing).
   DCAPE_HOT_PATH int64_t ProbeAndInsert(
-      Tuple tuple, std::vector<JoinResult>* results,
+      const Tuple& tuple, std::vector<JoinResult>* results,
       const ResultProjection* projection = nullptr, Tick window_ticks = 0);
 
   /// Moves every tuple with timestamp < `cutoff` into `evicted` (a group
@@ -152,7 +159,8 @@ class PartitionGroup {
   void InsertOnly(const Tuple& tuple);
 
   /// Merges all state and counters of `other` into this group: its rows
-  /// append behind this group's in every shared (key, stream) chain.
+  /// are copied in and append behind this group's in every shared
+  /// (key, stream) chain.
   /// Used when a relocated group lands on an engine that has since
   /// accumulated new tuples for the same partition (defensive; the
   /// protocol normally prevents this), and when a failed eviction write
@@ -230,15 +238,15 @@ class PartitionGroup {
   /// arenas' capacity. O(1).
   int64_t resident_bytes() const {
     return index_.resident_bytes() +
-           static_cast<int64_t>(rows_.capacity() * sizeof(Row) +
-                                payload_.capacity());
+           static_cast<int64_t>(rows_.capacity() * sizeof(Row)) +
+           payload_.resident_bytes();
   }
-  /// Arena bytes (rows and payload) no chain reaches any more. At most
-  /// bytes() after every public call.
+  /// Arena bytes (rows and payload) no chain reaches any more, gaps at
+  /// payload block tails included. At most bytes() after every public
+  /// call.
   int64_t dead_bytes() const {
-    return static_cast<int64_t>(rows_.size() * sizeof(Row) +
-                                payload_.size()) -
-           bytes_;
+    return static_cast<int64_t>(rows_.size() * sizeof(Row)) +
+           payload_.stored_bytes() - bytes_;
   }
 
   /// P_output / P_size (outputs per state byte); 0 for an empty group.
@@ -261,9 +269,9 @@ class PartitionGroup {
     Tick timestamp;
     int64_t value;
     int64_t category;
-    /// The payload's bytes in payload_; 32-bit offsets bound a group to
-    /// 4 GiB of payload, which appending checks.
-    uint32_t payload_offset;
+    /// The payload's PayloadArena handle and size; 32-bit handles bound
+    /// a group to 4 GiB of payload blocks, which storing checks.
+    uint32_t payload_handle;
     uint32_t payload_size;
     /// The next row of the same (key, stream) chain, or kNoRow.
     RowId next;
@@ -272,8 +280,8 @@ class PartitionGroup {
 
   RowRef View(RowId row) const;
   /// Appends `tuple` as a row of stream `stream`'s chain at index slot
-  /// `slot`, copying its payload into the arena; updates byte / tuple
-  /// accounting. Returns the row.
+  /// `slot`, copying its payload into the payload arena; updates byte /
+  /// tuple accounting. Returns the row.
   RowId AppendRow(size_t slot, int stream, const RowRef& tuple);
   /// Links rows `first`..`last`, already chained to each other, behind
   /// stream `stream`'s chain at index slot `slot`.
@@ -282,9 +290,10 @@ class PartitionGroup {
   /// clock — into `dst`, behind any tuples `dst` already has for it,
   /// then drops it here (its rows become dead). Returns the bytes moved.
   int64_t MoveKeyTo(size_t slot, PartitionGroup* dst);
-  /// Compacts the arenas in place (live rows slide to the front in
-  /// arena order, chains relinked) when the dead bytes exceed the live
-  /// ones, and shrinks an index that many erasures left sparse.
+  /// Compacts the arenas in place (live rows and their payloads slide to
+  /// the front in arena order, chains relinked, blocks past the new ends
+  /// freed) when the dead bytes exceed the live ones, and shrinks an
+  /// index that many erasures left sparse.
   void ReclaimDead();
   /// (key, slot) of every key, ascending by key.
   std::vector<std::pair<JoinKey, size_t>> SortedSlots() const;
@@ -292,8 +301,9 @@ class PartitionGroup {
   PartitionId partition_;
   int num_streams_;
   JoinKeyIndex index_;
-  std::vector<Row> rows_;
-  std::vector<char> payload_;
+  /// Rows in blocks of 4,096 (192 KiB).
+  BlockArena<Row, 12> rows_;
+  PayloadArena payload_;
   int64_t bytes_ = 0;
   int64_t tuple_count_ = 0;
   int64_t outputs_ = 0;

@@ -21,7 +21,7 @@ StateManager::StateManager(int num_streams,
   }
 }
 
-int64_t StateManager::ProcessTuple(PartitionId partition, Tuple tuple,
+int64_t StateManager::ProcessTuple(PartitionId partition, const Tuple& tuple,
                                    std::vector<JoinResult>* results) {
   auto it = groups_.find(partition);
   if (it == groups_.end()) {
@@ -34,7 +34,7 @@ int64_t StateManager::ProcessTuple(PartitionId partition, Tuple tuple,
   const int64_t bytes_before = group.bytes();
   const int64_t resident_before = group.resident_bytes();
   const int64_t produced = group.ProbeAndInsert(
-      std::move(tuple), results, projection_.has_value() ? &*projection_ : nullptr,
+      tuple, results, projection_.has_value() ? &*projection_ : nullptr,
       window_ticks_);
   AddBytes(group.bytes() - bytes_before);
   AddResident(group.resident_bytes() - resident_before);
@@ -180,7 +180,7 @@ Status StateManager::InstallGroup(std::string_view blob) {
 }
 
 std::vector<StateManager::ExtractedGroup> StateManager::EvictExpired(
-    Tick cutoff) {
+    Tick cutoff, const std::set<PartitionId>* encode) {
   std::vector<ExtractedGroup> evicted;
   std::vector<PartitionId> emptied;
   for (auto& [partition, group] : groups_) {
@@ -197,7 +197,9 @@ std::vector<StateManager::ExtractedGroup> StateManager::EvictExpired(
     out.bytes = expired.bytes();
     out.raw_bytes = expired.SerializedByteSize();
     out.tuple_count = expired.tuple_count();
-    expired.Serialize(&out.blob, segment_format_);
+    if (encode == nullptr || encode->count(partition) > 0) {
+      expired.Serialize(&out.blob, segment_format_);
+    }
     evicted.push_back(std::move(out));
     if (group->empty()) emptied.push_back(partition);
   }

@@ -64,14 +64,17 @@ class StateManager {
   /// monotonic), so removing them is output-transparent for the run-time
   /// phase; the caller decides whether the evicted groups must be
   /// preserved for cleanup (they must iff disk generations exist for the
-  /// partition). Returns one serialized evicted group per affected
-  /// partition.
-  std::vector<ExtractedGroup> EvictExpired(Tick cutoff);
+  /// partition). Returns one evicted group per affected partition. Only
+  /// the partitions in `encode` (every partition when it is null) carry
+  /// a serialized blob; the others come back with an empty one, their
+  /// counts filled in.
+  std::vector<ExtractedGroup> EvictExpired(
+      Tick cutoff, const std::set<PartitionId>* encode = nullptr);
 
-  /// Moves `tuple` into its partition group (creating it on first
-  /// touch), probing for join results first. Returns the number of
-  /// results appended to `results`.
-  int64_t ProcessTuple(PartitionId partition, Tuple tuple,
+  /// Adds `tuple` to its partition group (creating it on first touch),
+  /// probing for join results first; the group copies the payload into
+  /// its arena. Returns the number of results appended to `results`.
+  int64_t ProcessTuple(PartitionId partition, const Tuple& tuple,
                        std::vector<JoinResult>* results);
 
   /// Serializes the named groups and removes them from memory. Used for

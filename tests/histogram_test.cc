@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "runtime/cluster.h"
 #include "tests/test_util.h"
 
@@ -57,6 +61,34 @@ TEST(HistogramTest, QuantilesOrdered) {
   EXPECT_GE(p50, 5000);
   EXPECT_LE(p50, 10000);
   EXPECT_LE(p99, 10000);  // clamped to observed max
+}
+
+TEST(HistogramTest, AddWithCountEqualsRepeatedAdds) {
+  // (value, count) pairs across buckets, a negative value, a zero count
+  // and a first sample larger than later ones.
+  const std::vector<std::pair<int64_t, int64_t>> samples = {
+      {900, 3}, {0, 2}, {-7, 4}, {5, 0}, {65536, 1}, {37, 250}, {3, 17}};
+  Histogram counted;
+  Histogram repeated;
+  for (const auto& [value, count] : samples) {
+    counted.Add(value, count);
+    for (int64_t i = 0; i < count; ++i) repeated.Add(value);
+  }
+  EXPECT_EQ(counted.count(), repeated.count());
+  EXPECT_EQ(counted.count(), 277);
+  EXPECT_EQ(counted.sum(), repeated.sum());
+  EXPECT_EQ(counted.min(), repeated.min());
+  EXPECT_EQ(counted.max(), repeated.max());
+  EXPECT_DOUBLE_EQ(counted.Mean(), repeated.Mean());
+  for (int i = 0; i <= 100; ++i) {
+    const double q = i / 100.0;
+    EXPECT_EQ(counted.Quantile(q), repeated.Quantile(q)) << "q = " << q;
+  }
+  // A zero count records nothing, not even a min or max.
+  Histogram empty;
+  empty.Add(42, 0);
+  EXPECT_EQ(empty.count(), 0);
+  EXPECT_EQ(empty.max(), 0);
 }
 
 TEST(HistogramTest, MaxClampsBucketBound) {

@@ -3,7 +3,11 @@
 // against the group and against a plain ordered-map model, and after
 // every call the two must agree on the produced results, on both segment
 // encodings byte for byte, and on the counters — and the group's dead
-// arena bytes must stay within its live ones.
+// arena bytes must stay within its live ones. Every twentieth seed also
+// grows the group past one arena block of rows (bulk inserts over a wide
+// key domain) and of payload, with payloads of every size up to just
+// over a block, so payloads open new blocks, skip block tails and get
+// runs of their own.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "state/block_arena.h"
 #include "state/partition_group.h"
 #include "tuple/projection.h"
 #include "tuple/serde.h"
@@ -25,6 +30,18 @@ namespace dcape {
 namespace {
 
 constexpr PartitionId kPartition = 7;
+constexpr int64_t kRowsPerBlock = 4096;
+constexpr int64_t kPayloadBlock =
+    static_cast<int64_t>(PayloadArena::kBlockBytes);
+
+/// What the large seeds reached, over the whole test.
+struct Reach {
+  int64_t most_tuples = 0;
+  int64_t most_payload_bytes = 0;
+  int64_t nearly_a_block = 0;
+  int64_t longer_than_a_block = 0;
+};
+Reach reach;
 
 /// The reference: every stream's tuples per key in arrival order, the
 /// keys' access clocks, and the group counters.
@@ -235,9 +252,12 @@ void RunSeed(uint32_t seed) {
   auto uniform = [&rng](int64_t lo, int64_t hi) {
     return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
   };
+  const bool large = seed % 20 == 7;
   const int m = static_cast<int>(uniform(2, 4));
   const JoinKey key_base = uniform(0, 2) == 0 ? -5 : uniform(0, 1) << 40;
-  const int64_t key_domain = uniform(1, 12);
+  // A large group spreads over thousands of keys, so its probes stay
+  // cheap.
+  const int64_t key_domain = large ? uniform(2000, 6000) : uniform(1, 12);
   PartitionGroup group(kPartition, m);
   PartitionGroup side(kPartition, m);
   Model model(m);
@@ -245,7 +265,10 @@ void RunSeed(uint32_t seed) {
   std::vector<int64_t> next_seq(static_cast<size_t>(m), 0);
   Tick now = 100;
 
-  auto make_tuple = [&]() {
+  // `bulk` tuples of a large seed carry up to 160 bytes; its single
+  // tuples sometimes carry a payload of about a block, on either side
+  // of the block size.
+  auto make_tuple = [&](bool bulk = false) {
     Tuple t;
     t.stream_id = static_cast<StreamId>(uniform(0, m - 1));
     t.seq = ++next_seq[static_cast<size_t>(t.stream_id)];
@@ -254,7 +277,16 @@ void RunSeed(uint32_t seed) {
     t.timestamp = now - uniform(0, 5);
     t.value = uniform(-1000, 1000);
     t.category = uniform(0, 5);
-    t.payload.assign(static_cast<size_t>(uniform(0, 24)),
+    int64_t size = uniform(0, 24);
+    if (large) {
+      size = !bulk && uniform(0, 99) < 3
+                 ? uniform(kPayloadBlock - 2000, kPayloadBlock + 2000)
+                 : uniform(0, 160);
+      reach.nearly_a_block +=
+          size > kPayloadBlock / 2 && size <= kPayloadBlock ? 1 : 0;
+      reach.longer_than_a_block += size > kPayloadBlock ? 1 : 0;
+    }
+    t.payload.assign(static_cast<size_t>(size),
                      static_cast<char>('a' + uniform(0, 25)));
     return t;
   };
@@ -278,6 +310,13 @@ void RunSeed(uint32_t seed) {
                 ModelProbe(&model, t, proj, window, &want))
           << what;
       ExpectSameResults(got, want);
+    } else if (large && kind < 53) {
+      what += "BulkInsertOnly";
+      for (int64_t n = uniform(1000, 3000); n > 0; --n) {
+        const Tuple t = make_tuple(/*bulk=*/true);
+        group.InsertOnly(t);
+        model.Key(t.join_key)[static_cast<size_t>(t.stream_id)].push_back(t);
+      }
     } else if (kind < 60) {
       what += "InsertOnly";
       const Tuple t = make_tuple();
@@ -388,6 +427,10 @@ void RunSeed(uint32_t seed) {
     ExpectAgrees(group, model, what);
     ExpectAgrees(side, side_model, what + " (side)");
     if (::testing::Test::HasFailure()) return;
+    reach.most_tuples = std::max(reach.most_tuples, group.tuple_count());
+    reach.most_payload_bytes =
+        std::max(reach.most_payload_bytes,
+                 group.bytes() - Tuple::kHeaderBytes * group.tuple_count());
   }
 }
 
@@ -396,6 +439,13 @@ TEST(PartitionGroupPropertyTest, MatchesOrderedMapModel) {
     RunSeed(seed);
     if (::testing::Test::HasFailure()) break;
   }
+  // The large seeds reached past a block of rows and of payload, and
+  // stored payloads that fit no partly used block and ones longer than
+  // a block.
+  EXPECT_GT(reach.most_tuples, 2 * kRowsPerBlock);
+  EXPECT_GT(reach.most_payload_bytes, 2 * kPayloadBlock);
+  EXPECT_GT(reach.nearly_a_block, 0);
+  EXPECT_GT(reach.longer_than_a_block, 0);
 }
 
 }  // namespace

@@ -106,7 +106,9 @@ TEST(SpscQueueTest, TwoThreadStressPreservesSequence) {
 }
 
 TEST(SpscTransportTest, DeliversInFifoOrderPerLink) {
-  SpscTransport transport(2, SpscTransport::Config{});
+  // All 100 messages are sent before the first poll, so the ring must
+  // hold them all (the default is 64 slots).
+  SpscTransport transport(2, SpscTransport::Config{.link_capacity = 128});
   std::vector<int64_t> received;
   transport.RegisterNode(1, [&](Tick /*now*/, Message& m) {
     received.push_back(std::get<StatsReport>(m.payload).state_bytes);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "runtime/cluster.h"
 #include "state/group_merge.h"
 #include "state/partition_group.h"
@@ -102,6 +104,31 @@ TEST(StateManagerEvictTest, SerializesEvictedGroupsAndDropsEmpties) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->tuple_count(), 1);
   }
+}
+
+TEST(StateManagerEvictTest, EncodesOnlyTheRequestedPartitions) {
+  StateManager state(2, std::nullopt, /*window=*/100);
+  for (PartitionId p = 0; p < 3; ++p) {
+    state.ProcessTuple(p, MakeTuple(0, 1 + p, 5, 10), nullptr);
+    state.ProcessTuple(p, MakeTuple(1, 4 + p, 5, 20), nullptr);
+  }
+  const std::set<PartitionId> encode = {1};
+  auto evicted = state.EvictExpired(/*cutoff=*/100, &encode);
+  ASSERT_EQ(evicted.size(), 3u);
+  for (const auto& group : evicted) {
+    // Every group reports what it evicted; only partition 1 is encoded.
+    EXPECT_EQ(group.tuple_count, 2);
+    EXPECT_EQ(group.bytes, 2 * (Tuple::kHeaderBytes + 2));
+    EXPECT_EQ(group.raw_bytes, 16 + 8 * 2 + group.bytes);
+    if (group.partition != 1) {
+      EXPECT_TRUE(group.blob.empty()) << "partition " << group.partition;
+      continue;
+    }
+    StatusOr<PartitionGroup> decoded = PartitionGroup::Deserialize(group.blob);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->tuple_count(), 2);
+  }
+  EXPECT_EQ(state.total_tuples(), 0);
 }
 
 TEST(WindowCrossJoinTest, RespectsWindow) {
