@@ -249,14 +249,12 @@ void BM_StreamGeneratorEmit(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamGeneratorEmit);
 
-/// Full cluster stepping: generator → splits → engines → sink, 100
-/// virtual ticks per iteration, with the worker-thread count as the
-/// benchmark argument. items/s is end-to-end tuples per wall second.
-/// The sliding window bounds state so long benchmark runs stay flat.
-void BM_ClusterTick(benchmark::State& state) {
+/// The cluster BM_ClusterTick and BM_ClusterTickTraced step: 4 engines
+/// under no adaptation, with a sliding window that bounds state so long
+/// benchmark runs stay flat.
+ClusterConfig ClusterTickConfig(bool trace) {
   ClusterConfig config;
   config.num_engines = 4;
-  config.num_threads = static_cast<int>(state.range(0));
   config.workload.num_streams = 3;
   config.workload.num_partitions = 24;
   config.workload.inter_arrival_ticks = 1;
@@ -266,6 +264,13 @@ void BM_ClusterTick(benchmark::State& state) {
   config.strategy = AdaptationStrategy::kNoAdaptation;
   config.collect_results = false;
   config.run_cleanup = false;
+  config.trace = trace;
+  return config;
+}
+
+/// Steps `config`'s cluster 100 virtual ticks per iteration; items/s is
+/// end-to-end tuples per wall second.
+void StepClusterTicks(benchmark::State& state, const ClusterConfig& config) {
   Cluster cluster(config);
   Tick now = cluster.now();
   for (auto _ : state) {
@@ -274,35 +279,21 @@ void BM_ClusterTick(benchmark::State& state) {
   }
   state.SetItemsProcessed(cluster.source().total_emitted());
 }
-BENCHMARK(BM_ClusterTick)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+
+/// Full cluster stepping: generator → splits → engines → sink.
+void BM_ClusterTick(benchmark::State& state) {
+  StepClusterTicks(state, ClusterTickConfig(/*trace=*/false));
+}
+BENCHMARK(BM_ClusterTick)->Unit(benchmark::kMillisecond);
 
 /// BM_ClusterTick with structured tracing on: bounds the observability
 /// plane's overhead (instrumentation sites are live; the data plane
 /// itself stays untraced unless trace_verbose). Compare against
-/// BM_ClusterTick/1 — the contract is <= 10% (and <= 2% with tracing
+/// BM_ClusterTick — the contract is <= 10% (and <= 2% with tracing
 /// off, which BM_ClusterTick itself measures, since every site is then
 /// a null check).
 void BM_ClusterTickTraced(benchmark::State& state) {
-  ClusterConfig config;
-  config.num_engines = 4;
-  config.num_threads = 1;
-  config.workload.num_streams = 3;
-  config.workload.num_partitions = 24;
-  config.workload.inter_arrival_ticks = 1;
-  config.workload.payload_bytes = 40;
-  config.workload.classes = {PartitionClass{1.0, 4800}};
-  config.join_window_ticks = SecondsToTicks(5);
-  config.strategy = AdaptationStrategy::kNoAdaptation;
-  config.collect_results = false;
-  config.run_cleanup = false;
-  config.trace = true;
-  Cluster cluster(config);
-  Tick now = cluster.now();
-  for (auto _ : state) {
-    now += 100;
-    cluster.RunUntil(now);
-  }
-  state.SetItemsProcessed(cluster.source().total_emitted());
+  StepClusterTicks(state, ClusterTickConfig(/*trace=*/true));
 }
 BENCHMARK(BM_ClusterTickTraced)->Unit(benchmark::kMillisecond);
 

@@ -90,7 +90,6 @@ void BlockFetcher::Issue(int64_t block_index) {
     slot->ready = true;
     --in_flight_;
     ready_cv_.NotifyAll();
-    return Status::OK();
   });
 }
 

@@ -514,9 +514,8 @@ StatusOr<CleanupStats> CleanupProcessor::Run(
 
   // ---- Tasks (2)+(3), streaming: per partition, k-way merge the
   // generation cursors in key order. The prefetch executor is private
-  // to this run; the stores' own write executors are barriered by the
-  // first ReadSegmentRange, after which concurrent block reads are
-  // safe.
+  // to this run; every segment is already on its backend, so concurrent
+  // block reads are safe.
   IoExecutor prefetch_io;
   MemoryTracker tracker;
   BlockIoStats io_stats;

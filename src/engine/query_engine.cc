@@ -14,8 +14,7 @@ namespace dcape {
 
 QueryEngine::QueryEngine(const EngineConfig& config, Transport* network,
                          const SpillStore::Config& disk_config,
-                         std::unique_ptr<DiskBackend> disk_backend,
-                         IoExecutor* io_executor)
+                         std::unique_ptr<DiskBackend> disk_backend)
     : config_(config),
       network_(network),
       owned_metrics_(config.metrics == nullptr
@@ -25,7 +24,7 @@ QueryEngine::QueryEngine(const EngineConfig& config, Transport* network,
                                          : owned_metrics_.get()),
       tracer_(config.tracer),
       spill_store_(config.engine_id, disk_config, std::move(disk_backend),
-                   io_executor, metrics_),
+                   metrics_),
       mjoin_(config.num_streams, &spill_store_, config.projection,
              config.window_ticks, config.segment_format),
       controller_(config.spill, config.productivity, config.seed),

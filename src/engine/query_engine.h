@@ -136,13 +136,9 @@ class QueryEngine {
     std::vector<int64_t> tuples_per_stream;
   };
 
-  /// `io_executor` (optional, unowned, shareable across engines) makes
-  /// the spill store's backend writes asynchronous; it must outlive the
-  /// engine. Virtual-time accounting is identical with or without it.
   QueryEngine(const EngineConfig& config, Transport* network,
               const SpillStore::Config& disk_config,
-              std::unique_ptr<DiskBackend> disk_backend,
-              IoExecutor* io_executor = nullptr);
+              std::unique_ptr<DiskBackend> disk_backend);
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;

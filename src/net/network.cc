@@ -8,7 +8,6 @@ namespace dcape {
 
 void Network::RegisterNode(NodeId node, Handler handler) {
   handlers_[node] = std::move(handler);
-  max_registered_node_ = std::max(max_registered_node_, node);
 }
 
 void Network::SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
@@ -20,14 +19,6 @@ void Network::SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
 void Network::Send(Message message, Tick now) {
   DCAPE_CHECK_NE(message.from, kInvalidNode);
   DCAPE_CHECK_NE(message.to, kInvalidNode);
-  if (buffered_) {
-    // Parallel phase: park in the sender's outbox. Each outbox is owned
-    // by the one task driving that node, so no locking is needed; all
-    // global bookkeeping happens at FlushBuffered.
-    auto& outbox = outboxes_[static_cast<size_t>(message.from)];
-    outbox.push_back(BufferedSend{std::move(message), now});
-    return;
-  }
   Enqueue(std::move(message), now);
 }
 
@@ -81,28 +72,7 @@ Network::InFlight Network::PopEarliest() {
   return item;
 }
 
-void Network::BeginBuffered() {
-  DCAPE_CHECK(!buffered_);
-  outboxes_.resize(static_cast<size_t>(max_registered_node_ + 1));
-  buffered_ = true;
-}
-
-void Network::FlushBuffered() {
-  DCAPE_CHECK(buffered_);
-  buffered_ = false;
-  // The deterministic merge rule: source node id, then send order within
-  // the node. Every run — serial or parallel — funnels through this exact
-  // ordering, which is what makes thread count invisible to results.
-  for (auto& outbox : outboxes_) {
-    for (BufferedSend& send : outbox) {
-      Enqueue(std::move(send.message), send.send_time);
-    }
-    outbox.clear();
-  }
-}
-
 void Network::DeliverUntil(Tick now) {
-  DCAPE_CHECK(!buffered_);
   while (!heap_.empty() && heap_.front().arrival <= now) {
     InFlight item = PopEarliest();
     auto it = handlers_.find(item.message.to);
@@ -111,34 +81,25 @@ void Network::DeliverUntil(Tick now) {
   }
 }
 
-std::vector<Network::Inbox> Network::TakeArrivals(Tick now) {
-  DCAPE_CHECK(!buffered_);
-  std::vector<InFlight> due;
+void Network::DeliverWaves(Tick now) {
+  std::vector<InFlight> wave;
   while (!heap_.empty() && heap_.front().arrival <= now) {
-    due.push_back(PopEarliest());
-  }
-  // Group by destination; `due` is already in (arrival, sequence) order,
-  // and stable_sort by destination preserves it within each inbox.
-  std::stable_sort(due.begin(), due.end(),
-                   [](const InFlight& a, const InFlight& b) {
-                     return a.message.to < b.message.to;
-                   });
-  std::vector<Inbox> inboxes;
-  for (InFlight& item : due) {
-    if (inboxes.empty() || inboxes.back().node != item.message.to) {
-      inboxes.push_back(Inbox{item.message.to, {}});
+    wave.clear();
+    while (!heap_.empty() && heap_.front().arrival <= now) {
+      wave.push_back(PopEarliest());
     }
-    inboxes.back().deliveries.push_back(
-        Delivery{item.arrival, std::move(item.message)});
-  }
-  return inboxes;
-}
-
-void Network::Deliver(Inbox& inbox) const {
-  auto it = handlers_.find(inbox.node);
-  DCAPE_CHECK(it != handlers_.end());
-  for (Delivery& d : inbox.deliveries) {
-    it->second(d.arrival, d.message);
+    // The wave is in (arrival, sequence) order; a stable sort by
+    // destination keeps that order within each destination's messages.
+    // Sends made below enter the heap and wait for the next wave.
+    std::stable_sort(wave.begin(), wave.end(),
+                     [](const InFlight& a, const InFlight& b) {
+                       return a.message.to < b.message.to;
+                     });
+    for (InFlight& item : wave) {
+      auto it = handlers_.find(item.message.to);
+      DCAPE_CHECK(it != handlers_.end());
+      it->second(item.arrival, item.message);
+    }
   }
 }
 

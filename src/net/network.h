@@ -26,14 +26,8 @@ namespace dcape {
 /// one on the same link, exactly like a TCP connection. The relocation
 /// protocol's drain markers rely on that FIFO property.
 ///
-/// Parallel stepping support: during the concurrent phase of a virtual
-/// tick the driver switches the network into *buffered* mode
-/// (BeginBuffered). Sends then append to a per-source-node outbox instead
-/// of entering the global queue, which is thread-safe so long as no two
-/// concurrent tasks send on behalf of the same node. FlushBuffered merges
-/// all outboxes into the queue in (source node id, send order) order —
-/// the deterministic merge rule that makes a multi-threaded run
-/// bit-identical to the single-threaded one.
+/// Single-threaded: the simulator steps every node on one thread, and
+/// every send enters the delivery queue directly.
 class Network : public Transport {
  public:
   struct Config {
@@ -57,18 +51,6 @@ class Network : public Transport {
     int64_t state_transfer_bytes = 0;
   };
 
-  /// One message due for delivery, as handed out by TakeArrivals.
-  struct Delivery {
-    Tick arrival = 0;
-    Message message;
-  };
-
-  /// All messages due at one destination, in (arrival, sequence) order.
-  struct Inbox {
-    NodeId node = kInvalidNode;
-    std::vector<Delivery> deliveries;
-  };
-
   explicit Network(const Config& config) : config_(config) {}
 
   Network(const Network&) = delete;
@@ -85,46 +67,30 @@ class Network : public Transport {
   /// while cross-link reordering emerges naturally. `duplicate` delivers
   /// the message a second time one tick later (a deliberate protocol
   /// violation, used to prove the harness catches one). Both hooks run
-  /// only on the main thread: Enqueue happens either outside buffered
-  /// mode or at the FlushBuffered barrier, never on pool workers.
+  /// once per Send, in send order.
   void SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
                      std::function<bool(const Message&)> duplicate);
 
   /// Enqueues `message` for delivery. `message.from/to` must be set and
-  /// `to` must name a registered node by delivery time. In buffered mode
-  /// the message parks in the outbox of `message.from` until
-  /// FlushBuffered.
+  /// `to` must name a registered node by delivery time.
   void Send(Message message, Tick now) override;
 
-  /// Delivers every message whose arrival tick is <= `now`, in
-  /// deterministic order. Handlers may send further messages; those are
-  /// delivered too if they also arrive by `now`. Must not be called in
-  /// buffered mode (drivers use TakeArrivals/Deliver there).
+  /// Delivers every message whose arrival tick is <= `now` in one global
+  /// (arrival, sequence) order. Handlers may send further messages;
+  /// those are delivered too if they also arrive by `now`.
   void DeliverUntil(Tick now);
 
-  /// Switches Send into buffered (per-source outbox) mode. Concurrent
-  /// Send calls are safe iff each source node is driven by at most one
-  /// task at a time.
-  void BeginBuffered();
+  /// Delivers every message whose arrival tick is <= `now` in waves, the
+  /// simulator's schedule. Each wave takes every due message, groups
+  /// them by destination in ascending node id, and runs each
+  /// destination's handler over its messages in (arrival, sequence)
+  /// order. Messages that handlers send join a later wave; waves repeat
+  /// until nothing more is due by `now`. Because every node sends as
+  /// itself (`from` is its own id), each wave enqueues its sends in
+  /// (source node id, send order) order.
+  void DeliverWaves(Tick now);
 
-  /// Merges every outbox into the global queue in (source node id, send
-  /// order) order and leaves buffered mode. Arrival times, link-FIFO
-  /// clamping, sequence numbers, and traffic stats are all applied here,
-  /// at the barrier, so they are independent of task interleaving.
-  void FlushBuffered();
-
-  /// Removes every queued message with arrival tick <= `now` and returns
-  /// them grouped by destination (ascending node id), each group in
-  /// (arrival, sequence) order. Messages sent after the call — e.g. by
-  /// handlers during the subsequent Deliver — queue for a later wave.
-  std::vector<Inbox> TakeArrivals(Tick now);
-
-  /// Invokes `node`'s registered handler for each delivery in order.
-  /// Safe to call from pool workers for disjoint inboxes: it only reads
-  /// the handler table and the inbox itself.
-  void Deliver(Inbox& inbox) const;
-
-  /// True when no message is queued (outboxes must be flushed).
+  /// True when no message is queued.
   bool idle() const { return heap_.empty(); }
 
   /// Earliest queued arrival tick, or -1 when idle. Lets drivers fast-
@@ -147,11 +113,6 @@ class Network : public Transport {
       return a.sequence > b.sequence;
     }
   };
-  struct BufferedSend {
-    Message message;
-    Tick send_time;
-  };
-
   /// Assigns arrival/sequence and pushes onto the delivery heap.
   void Enqueue(Message message, Tick now);
   /// Pops the earliest in-flight message off the heap.
@@ -166,10 +127,6 @@ class Network : public Transport {
   std::vector<InFlight> heap_;
   /// Last scheduled arrival per directed link, for FIFO enforcement.
   std::map<std::pair<NodeId, NodeId>, Tick> link_last_arrival_;
-  /// outboxes_[source node] = sends parked during buffered mode.
-  std::vector<std::vector<BufferedSend>> outboxes_;
-  NodeId max_registered_node_ = -1;
-  bool buffered_ = false;
   int64_t next_sequence_ = 0;
   Stats stats_;
 };

@@ -17,7 +17,7 @@ namespace dcape {
 /// exist:
 ///
 ///   * net::Network — the deterministic virtual-clock simulator transport
-///     (buffered waves, latency/bandwidth model, global delivery order),
+///     (delivery waves, latency/bandwidth model),
 ///   * rt::SpscTransport — the free-running realtime transport (one
 ///     bounded lock-free SPSC ring per directed link, blocking
 ///     backpressure, wall-clock delivery).
@@ -31,9 +31,8 @@ namespace dcape {
 ///
 /// Threading: RegisterNode is wiring-time only (before any Send). Send
 /// is safe to call concurrently so long as each source node is driven by
-/// at most one thread at a time — the discipline both the parallel
-/// simulator (buffered outboxes) and the realtime driver (one thread per
-/// node) maintain.
+/// at most one thread at a time — the realtime driver runs one thread
+/// per node; the simulator steps every node on one thread.
 class Transport {
  public:
   /// Per-message delivery callback; `now` is the delivery time in the

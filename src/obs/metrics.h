@@ -14,11 +14,10 @@ namespace dcape {
 namespace obs {
 
 /// A monotonically increasing int64 cell owned by the registry. Updates
-/// are plain stores: each cell belongs to exactly one simulated node and
-/// is only ever touched by the task stepping that node (the same
-/// disjointness discipline that keeps the parallel cluster step
-/// race-free), so no atomics are needed and values are bit-identical for
-/// every --threads.
+/// are plain stores: each cell belongs to exactly one node and is only
+/// ever touched by whatever steps that node (the simulator's one thread,
+/// or the node's own thread under the realtime driver), so no atomics
+/// are needed.
 class Counter {
  public:
   void Add(int64_t delta) { value_ += delta; }
@@ -52,8 +51,9 @@ class Gauge {
 /// stream id), -1 when unused.
 ///
 /// Registration happens at construction time on one thread; updates
-/// follow the per-node ownership contract above; snapshots are taken at
-/// tick barriers (never concurrently with updates).
+/// follow the per-node ownership contract above; snapshots are taken
+/// between ticks, or after the realtime driver joins its threads (never
+/// concurrently with updates).
 class MetricsRegistry {
  public:
   static constexpr int kCluster = -1;

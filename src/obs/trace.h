@@ -63,19 +63,17 @@ struct TraceEvent {
 
 /// The deterministic structured trace.
 ///
-/// Buffering discipline (the same one that makes the parallel cluster
-/// step bit-identical to the serial one, see net::Network's outboxes and
-/// runtime/exec_pool.h): events append to a per-lane buffer, where a
-/// lane is one simulated node (engines, coordinator, split hosts, sink,
-/// generator) plus one extra *driver* lane for the cluster itself. Each
-/// lane is only ever appended to by the single task stepping that node,
-/// so concurrent emission during the parallel phase of a tick needs no
-/// locks, and the merged stream — ordered by (tick, lane, per-lane emit
-/// order) — is a pure function of the simulation, independent of
-/// `--threads` and of wall-clock scheduling. That is the whole
-/// determinism argument: per-lane order is deterministic because each
-/// node's step sequence is, and the merge key contains no wall-clock or
-/// thread-dependent component.
+/// Buffering discipline: events append to a per-lane buffer, where a
+/// lane is one node (engines, coordinator, split hosts, sink, generator)
+/// plus one extra *driver* lane for the cluster itself. Each lane is
+/// only ever appended to by whatever steps that node (the simulator's
+/// one thread, or the node's own thread under the realtime driver), so
+/// emission needs no locks, and the merged stream — ordered by (tick,
+/// lane, per-lane emit order) — is a pure function of the simulation,
+/// independent of `--threads` and of wall-clock scheduling. That is the
+/// whole determinism argument: per-lane order is deterministic because
+/// each node's step sequence is, and the merge key contains no
+/// wall-clock or thread-dependent component.
 ///
 /// Cost when disabled: the cluster simply holds no Tracer, and every
 /// instrumentation site is behind `DCAPE_TRACE_ACTIVE(tracer)` — a null

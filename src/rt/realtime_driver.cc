@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "obs/taxonomy.h"
-#include "runtime/exec_pool.h"
 
 namespace dcape {
 namespace rt {
@@ -317,9 +316,7 @@ RunResult RealtimeDriver::Run() {
   // the slot's unit.
   RunResult result = topology_.Collect(network, clock_.NowMs(), latency_ms_);
   if (config.run_cleanup) {
-    ExecPool pool(std::max(1, config.num_threads));
-    StatusOr<CleanupStats> cleanup =
-        topology_.RunCleanup(&pool, clock_.NowMs());
+    StatusOr<CleanupStats> cleanup = topology_.RunCleanup(clock_.NowMs());
     DCAPE_CHECK(cleanup.ok());
     result.cleanup = std::move(cleanup).value();
   }

@@ -71,11 +71,11 @@ struct RealtimeReport {
 /// The free-running realtime driver: the same node set the deterministic
 /// simulator runs (a Topology: QueryEngine, SplitHost, GlobalCoordinator,
 /// GeneratorNode, union + sink), but scheduled with one real thread per
-/// node over bounded lock-free SPSC links instead of the tick-barrier
-/// network, and `now` = wall milliseconds since run start (one tick ==
-/// one wall ms, the simulator's own tick definition) so every periodic
-/// timer in the engines and the coordinator fires on a real steady-clock
-/// cadence.
+/// node over bounded lock-free SPSC links instead of the tick-stepped
+/// simulated network, and `now` = wall milliseconds since run start (one
+/// tick == one wall ms, the simulator's own tick definition) so every
+/// periodic timer in the engines and the coordinator fires on a real
+/// steady-clock cadence.
 ///
 /// The deterministic simulator remains the correctness oracle: the
 /// generator paces a virtual-tick cursor, so the emitted tuple set for

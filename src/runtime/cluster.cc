@@ -1,6 +1,5 @@
 #include "runtime/cluster.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -15,8 +14,7 @@ std::vector<EngineId> Cluster::PlacementFor(const ClusterConfig& config) {
 }
 
 Cluster::Cluster(const ClusterConfig& config)
-    : pool_(std::max(1, config.num_threads)),
-      network_(config.network),
+    : network_(config.network),
       topology_(config, &network_, "cluster") {
   if (config.fault_plan != nullptr) {
     sim::FaultPlan* plan = config.fault_plan.get();
@@ -26,39 +24,11 @@ Cluster::Cluster(const ClusterConfig& config)
   }
 }
 
-void Cluster::DeliverWaves(Tick now) {
-  // Delivery supersteps: each wave removes every message due by `now`,
-  // drains the engine/split-host inboxes concurrently on the pool, the
-  // coordinator/sink inboxes on the caller, and merges all sends in
-  // (node id, send order) order at the barrier. Handlers only touch
-  // their own node's state, so disjoint inboxes never race; the merge
-  // rule makes the schedule identical for every pool size. The loop
-  // repeats for zero-latency sends that fall due within the same tick.
-  while (true) {
-    const Tick next = network_.NextArrival();
-    if (next < 0 || next > now) break;
-    std::vector<Network::Inbox> inboxes = network_.TakeArrivals(now);
-    network_.BeginBuffered();
-    std::vector<Network::Inbox*> concurrent;
-    concurrent.reserve(inboxes.size());
-    for (Network::Inbox& inbox : inboxes) {
-      if (IsConcurrentNode(inbox.node)) concurrent.push_back(&inbox);
-    }
-    pool_.ParallelFor(static_cast<int>(concurrent.size()),
-                      [&](int i) { network_.Deliver(*concurrent[i]); });
-    for (Network::Inbox& inbox : inboxes) {
-      if (!IsConcurrentNode(inbox.node)) network_.Deliver(inbox);
-    }
-    network_.FlushBuffered();
-  }
-}
-
 void Cluster::StepTick(Tick now, bool generate) {
-  DeliverWaves(now);
+  network_.DeliverWaves(now);
   topology_.generator().OnTicks(now, now, generate);
-  // Injected stalls are sampled here, in engine-id order on the main
-  // thread, so the fault sequence is identical for every --threads
-  // value.
+  // Injected stalls are sampled in engine-id order before any engine
+  // steps, so the fault sequence is a pure function of the schedule.
   sim::FaultPlan* plan = topology_.config().fault_plan.get();
   if (plan != nullptr) {
     for (EngineId e = 0; e < num_engines(); ++e) {
@@ -66,11 +36,9 @@ void Cluster::StepTick(Tick now, bool generate) {
       if (stall > 0) engine(e).InjectStall(now, stall);
     }
   }
-  // Engine housekeeping (pending batches, spill checks, stats) is
-  // per-engine state only; their sends buffer and merge like a wave.
-  network_.BeginBuffered();
-  pool_.ParallelFor(num_engines(), [&](int i) { engine(i).OnTick(now); });
-  network_.FlushBuffered();
+  // Engine housekeeping (pending batches, spill checks, stats), in
+  // engine-id order.
+  for (EngineId e = 0; e < num_engines(); ++e) engine(e).OnTick(now);
   if (!draining_) coordinator().OnTick(now);
 }
 
@@ -83,8 +51,7 @@ void Cluster::SampleIfDue(Tick now, bool force) {
   topology_.AddSample(now, results,
                       [&](EngineId e) { return engine(e).state_bytes(); });
   // Sampled counter events ride the trace at the same cadence as the
-  // series. This runs serially between ticks, so emitting on other
-  // nodes' lanes honors the one-writer-per-lane contract.
+  // series, emitted between ticks on the engines' and the sink's lanes.
   obs::Tracer* tracer = topology_.tracer();
   if (DCAPE_TRACE_ACTIVE(tracer)) {
     for (EngineId e = 0; e < num_engines(); ++e) {
@@ -137,7 +104,7 @@ void Cluster::Drain() {
 }
 
 StatusOr<CleanupStats> Cluster::RunCleanup() {
-  return topology_.RunCleanup(&pool_, clock_.now());
+  return topology_.RunCleanup(clock_.now());
 }
 
 RunResult Cluster::Collect() {

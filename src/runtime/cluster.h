@@ -14,7 +14,6 @@
 #include "operators/aggregate.h"
 #include "operators/sink.h"
 #include "runtime/cluster_config.h"
-#include "runtime/exec_pool.h"
 #include "runtime/run_result.h"
 #include "runtime/split_host.h"
 #include "runtime/topology.h"
@@ -24,7 +23,8 @@ namespace dcape {
 
 /// The deterministic simulator driver: the D-CAPE node set (a Topology,
 /// paper Fig. 4) wired over the simulated network and stepped tick by
-/// tick on the virtual clock. Node ids follow the Topology convention.
+/// tick on the virtual clock, on the calling thread. Node ids follow the
+/// Topology convention.
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config);
@@ -45,7 +45,8 @@ class Cluster {
   /// (no queued messages, no queued batches, no buffered tuples).
   void Drain();
 
-  /// Runs the cleanup phase over the engines' current disks and states.
+  /// Runs the cleanup phase over the engines' current disks and states,
+  /// on `config.num_threads` workers.
   [[nodiscard]] StatusOr<CleanupStats> RunCleanup();
 
   /// Builds the RunResult from the current series/counters (Run() does
@@ -97,21 +98,10 @@ class Cluster {
  private:
   void StepTick(Tick now, bool generate);
   void SampleIfDue(Tick now, bool force = false);
-  /// Delivers every message due at `now` in deterministic waves: engine
-  /// and split-host inboxes drain concurrently on the pool, the
-  /// coordinator/sink inboxes drain on the caller, and all sends merge at
-  /// the wave barrier in (node id, send order) order.
-  void DeliverWaves(Tick now);
   /// True when the whole pipeline is idle: no queued messages, no
   /// buffered split tuples, no busy/backlogged engines.
   bool Quiescent(Tick now) const;
-  /// True for nodes whose inboxes may be drained concurrently (each such
-  /// node's state is touched only by its own task).
-  bool IsConcurrentNode(NodeId node) const {
-    return node < topology_.num_engines() || node > topology_.generator_node();
-  }
 
-  ExecPool pool_;
   /// Declared before the topology, whose nodes hold a pointer to it.
   Network network_;
   Topology topology_;

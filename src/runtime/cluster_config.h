@@ -36,10 +36,9 @@ struct ClusterConfig {
   /// count; streams are assigned round-robin). 1 colocates every split
   /// with the generator node, the paper's described deployment.
   int num_split_hosts = 1;
-  /// Worker threads stepping the engines and split hosts within each
-  /// virtual tick (see runtime/exec_pool.h). Results are bit-identical
-  /// for every value: sends are buffered per node and merged in
-  /// deterministic order at the tick barrier. 1 = fully serial.
+  /// Worker threads of the cleanup phase (see runtime/exec_pool.h).
+  /// Results are bit-identical for every value: partitions merge
+  /// independently and fold in fixed partition order. 1 = serial.
   int num_threads = 1;
   WorkloadConfig workload;
   /// When non-empty, replay this recorded trace instead of generating the
@@ -98,11 +97,6 @@ struct ClusterConfig {
   /// Optional per-engine encoding override (size == num_engines when
   /// non-empty); lets a mixed cluster exercise cross-format relocation.
   std::vector<SegmentFormat> per_engine_segment_format;
-  /// Perform the spill stores' real backend writes on a background I/O
-  /// thread shared by all engines. Virtual-clock accounting — and thus
-  /// every result and counter — is identical with this on or off; only
-  /// wall-clock changes.
-  bool async_spill_io = false;
 
   /// Length of the run-time phase.
   Tick run_duration = MinutesToTicks(40);

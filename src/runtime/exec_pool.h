@@ -11,9 +11,9 @@
 
 namespace dcape {
 
-/// A fixed-size worker pool with a fork/join barrier, used to step the
-/// cluster's independent nodes (query engines, split hosts) concurrently
-/// within one virtual tick.
+/// A fixed-size worker pool with a fork/join barrier, used to run the
+/// cleanup phase's independent partition merges concurrently
+/// (CleanupProcessor::Run, sized by `--threads`).
 ///
 /// The pool deliberately has no queues, futures, or task ownership: one
 /// ParallelFor call is one barrier. The caller's thread participates in
@@ -23,8 +23,8 @@ namespace dcape {
 ///
 /// Determinism contract: ParallelFor guarantees only that fn(0..n-1) all
 /// complete before it returns. Tasks must not share mutable state; the
-/// cluster gives each task one node and buffers its network sends
-/// per-node (see net::Network's outboxes), so the merged outcome is
+/// cleanup gives each task one partition's private outcome and folds
+/// the outcomes in fixed partition order, so the merged result is
 /// independent of how tasks interleave.
 class ExecPool {
  public:

@@ -103,10 +103,6 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(
       config.trace_verbose = true;
       continue;
     }
-    if (view == "--async-io") {
-      config.async_spill_io = true;
-      continue;
-    }
     if (view == "--file-backend") {
       config.use_file_backend = true;
       continue;
@@ -326,7 +322,7 @@ query / workload:
 cluster / run:
   --engines=N            query engines                           [2]
   --split-hosts=N        nodes hosting the split operators       [1]
-  --threads=N            worker threads stepping the cluster
+  --threads=N            worker threads for the cleanup phase
                          (results are identical for any value)   [1]
   --placement=F,F,...    initial partition shares per engine     [uniform]
   --duration-min=N       run-time phase length (virtual)         [10]
@@ -355,8 +351,6 @@ adaptation:
 storage:
   --segment-format=F     spill/relocation encoding: v1 | v2       [v2]
   --file-backend         spill to real files under a temp dir
-  --async-io             background thread for real spill writes
-                         (virtual-time results are identical)
   --cleanup-block-kib=N  cleanup merge block size: segments are read
                          in blocks of N KiB (docs/CLEANUP.md)     [64]
 

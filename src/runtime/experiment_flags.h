@@ -54,7 +54,7 @@ struct ExperimentOptions {
 /// Supported flags (defaults in brackets):
 ///   --strategy=all-mem|spill-only|relocation-only|lazy-disk|active-disk
 ///   --engines=N [2]           --split-hosts=N [1]
-///   --threads=N [1]           (worker threads; results identical)
+///   --threads=N [1]           (cleanup workers; results identical)
 ///   --streams=N [3]           --partitions=N [60]
 ///   --duration-min=N [10]     --inter-arrival-ms=N [10]
 ///   --join-rate=F [3]         --tuple-range=N [180000]
@@ -69,7 +69,7 @@ struct ExperimentOptions {
 ///   --lambda=F [2]            --productivity=cumulative|ewma
 ///   --ewma-alpha=F [0.5]      --restore (enable online restore)
 ///   --fluctuation             --phase-min=N [5]  --hot-mult=F [10]
-///   --segment-format=v1|v2 [v2]  --file-backend  --async-io
+///   --segment-format=v1|v2 [v2]  --file-backend
 ///   --csv=PATH  --record-trace=PATH  --replay-trace=PATH
 ///   --trace (structured adaptation trace)  --trace-verbose
 ///   --trace-out=PATH (Chrome trace_event JSON; implies --trace)

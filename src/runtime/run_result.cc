@@ -12,8 +12,8 @@ void StorageCsvRow(std::ostream& os, const std::string& label,
   os << label << ',' << c.segments_written << ',' << c.segments_resident
      << ',' << c.resident_bytes << ',' << c.encoded_bytes << ','
      << c.raw_bytes << ',' << c.CompressionRatio() << ','
-     << c.io_queue_high_water << ',' << c.partial_segments_written << ','
-     << c.partial_encoded_bytes << ',' << c.partial_raw_bytes << '\n';
+     << c.partial_segments_written << ',' << c.partial_encoded_bytes << ','
+     << c.partial_raw_bytes << '\n';
 }
 
 }  // namespace
@@ -44,8 +44,7 @@ void RunResult::PrintSummary(std::ostream& os) const {
        << FormatBytes(storage.raw_bytes) << " raw, ratio "
        << storage.CompressionRatio() << "), resident "
        << storage.segments_resident << " segments ("
-       << FormatBytes(storage.resident_bytes) << ")"
-       << " | io queue high-water: " << storage.io_queue_high_water << "\n";
+       << FormatBytes(storage.resident_bytes) << ")\n";
     if (storage.partial_segments_written > 0) {
       os << "gradual spill: " << storage.partial_segments_written
          << " partial segments (" << FormatBytes(storage.partial_encoded_bytes)
@@ -58,7 +57,7 @@ void RunResult::PrintSummary(std::ostream& os) const {
 std::string RunResult::StorageCsv() const {
   std::ostringstream os;
   os << "engine,segments_written,segments_resident,resident_bytes,"
-        "encoded_bytes,raw_bytes,compression_ratio,io_queue_high_water,"
+        "encoded_bytes,raw_bytes,compression_ratio,"
         "partial_segments_written,partial_encoded_bytes,partial_raw_bytes\n";
   for (size_t e = 0; e < engine_storage.size(); ++e) {
     StorageCsvRow(os, "engine" + std::to_string(e), engine_storage[e]);

@@ -17,8 +17,7 @@ namespace dcape {
 
 /// Storage-plane counters for one engine's spill area (plus a cluster
 /// aggregate). Encoded vs raw bytes show what the compact segment format
-/// saves; the queue high-water mark is wall-clock-dependent
-/// observability (never compare it across runs).
+/// saves.
 struct StorageCounters {
   /// Cumulative segments written (spills + eviction generations).
   int64_t segments_written = 0;
@@ -30,9 +29,6 @@ struct StorageCounters {
   int64_t encoded_bytes = 0;
   /// Cumulative raw (v1 fixed-width equivalent) bytes of the same state.
   int64_t raw_bytes = 0;
-  /// Deepest the shared async write queue got (0 without async I/O;
-  /// cluster-wide value, repeated per engine).
-  int64_t io_queue_high_water = 0;
   /// Partial-generation accounting (bucket-granular gradual spills),
   /// kept apart from the whole-group figures above so resident vs
   /// spilled bytes per group stay interpretable.
@@ -73,7 +69,7 @@ struct RunResult {
   std::vector<QueryEngine::Counters> engines;
   /// Per-engine spill-area counters, same order as `engines`.
   std::vector<StorageCounters> engine_storage;
-  /// Sum over `engine_storage` (max for the high-water mark).
+  /// Sum over `engine_storage`.
   StorageCounters storage;
   Network::Stats network;
 

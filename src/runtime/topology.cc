@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "obs/taxonomy.h"
+#include "runtime/exec_pool.h"
 #include "sim/faulty_backend.h"
 #include "storage/disk_backend.h"
 #include "stream/stream_generator.h"
@@ -70,9 +71,6 @@ Topology::Topology(const ClusterConfig& config, Transport* transport,
   }
 
   // Query engines.
-  if (config_.async_spill_io) {
-    io_executor_ = std::make_unique<IoExecutor>();
-  }
   for (EngineId e = 0; e < config_.num_engines; ++e) {
     EngineConfig engine_config;
     engine_config.engine_id = e;
@@ -118,8 +116,7 @@ Topology::Topology(const ClusterConfig& config, Transport* transport,
           std::move(backend), config_.fault_plan.get(), e);
     }
     engines_.push_back(std::make_unique<QueryEngine>(
-        engine_config, transport, config_.disk, std::move(backend),
-        io_executor_.get()));
+        engine_config, transport, config_.disk, std::move(backend)));
   }
 
   // Global coordinator.
@@ -228,7 +225,7 @@ Topology::Topology(const ClusterConfig& config, Transport* transport,
   throughput_series_.set_name("cumulative_results");
 }
 
-StatusOr<CleanupStats> Topology::RunCleanup(ExecPool* pool, Tick start) {
+StatusOr<CleanupStats> Topology::RunCleanup(Tick start) {
   std::vector<const SpillStore*> stores;
   std::vector<const StateManager*> states;
   for (const auto& node : engines_) {
@@ -236,7 +233,8 @@ StatusOr<CleanupStats> Topology::RunCleanup(ExecPool* pool, Tick start) {
     states.push_back(&node->mjoin().state());
   }
   CleanupProcessor processor(config_.cleanup, config_.workload.num_streams);
-  StatusOr<CleanupStats> stats = processor.Run(stores, states, pool);
+  ExecPool pool(std::max(1, config_.num_threads));
+  StatusOr<CleanupStats> stats = processor.Run(stores, states, &pool);
   if (!stats.ok()) return stats;
   // Streaming-pipeline observability. Peak and stalls depend on lane
   // interleaving / wall clock, so they live in the metrics plane only —
@@ -281,8 +279,6 @@ RunResult Topology::Collect(const Network::Stats& network, Tick end,
   result.runtime_end = end;
   result.coordinator = coordinator_->counters();
   result.network = network;
-  const int64_t queue_high_water =
-      io_executor_ != nullptr ? io_executor_->queue_high_water() : 0;
   for (const auto& node : engines_) {
     QueryEngine::Counters ec = node->counters();
     result.spilled_bytes += ec.spilled_bytes;
@@ -295,7 +291,6 @@ RunResult Topology::Collect(const Network::Stats& network, Tick end,
     storage.resident_bytes = store.resident_bytes();
     storage.encoded_bytes = store.total_spilled_bytes();
     storage.raw_bytes = store.total_raw_bytes();
-    storage.io_queue_high_water = queue_high_water;
     storage.partial_segments_written = store.partial_segments_written();
     storage.partial_encoded_bytes = store.partial_encoded_bytes();
     storage.partial_raw_bytes = store.partial_raw_bytes();
@@ -310,7 +305,6 @@ RunResult Topology::Collect(const Network::Stats& network, Tick end,
     result.storage.partial_encoded_bytes += storage.partial_encoded_bytes;
     result.storage.partial_raw_bytes += storage.partial_raw_bytes;
   }
-  result.storage.io_queue_high_water = queue_high_water;
   if (config_.collect_results) {
     result.collected = sink_.collected();
   }

@@ -22,11 +22,9 @@
 #include "operators/aggregate.h"
 #include "operators/sink.h"
 #include "runtime/cluster_config.h"
-#include "runtime/exec_pool.h"
 #include "runtime/generator_node.h"
 #include "runtime/run_result.h"
 #include "runtime/split_host.h"
-#include "storage/io_executor.h"
 
 namespace dcape {
 
@@ -76,10 +74,11 @@ class Topology {
     }
   }
 
-  /// Runs the cleanup phase over the engines' current disks and states,
-  /// sets the cleanup.* gauges, and (when tracing) emits the cleanup
-  /// spans starting at `start`.
-  [[nodiscard]] StatusOr<CleanupStats> RunCleanup(ExecPool* pool, Tick start);
+  /// Runs the cleanup phase over the engines' current disks and states
+  /// on a pool of `config().num_threads` workers, sets the cleanup.*
+  /// gauges, and (when tracing) emits the cleanup spans starting at
+  /// `start`.
+  [[nodiscard]] StatusOr<CleanupStats> RunCleanup(Tick start);
 
   /// Builds the RunResult from the nodes, the registry, and the series,
   /// plus what only the driver measures: its transport's traffic, the
@@ -133,10 +132,6 @@ class Topology {
   /// Lanes = every node + one driver lane.
   std::unique_ptr<obs::Tracer> tracer_;
   std::vector<EngineId> placement_;
-  /// Background spill-write thread (config_.async_spill_io). Declared
-  /// before engines_ so it outlives them: each engine's SpillStore
-  /// drains its queued writes on destruction.
-  std::unique_ptr<IoExecutor> io_executor_;
   std::vector<std::unique_ptr<QueryEngine>> engines_;
   std::unique_ptr<GlobalCoordinator> coordinator_;
   std::vector<std::unique_ptr<SplitHost>> split_hosts_;

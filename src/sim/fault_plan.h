@@ -78,12 +78,12 @@ struct FaultSpec {
 
 /// The seeded fault source for one chaos trial.
 ///
-/// Determinism contract: network draws happen only on the main thread
-/// (Network::Enqueue runs under the tick barrier's merge), disk draws
-/// come from a per-engine stream whose operation order is fixed by the
-/// virtual schedule, and stall draws are made in engine-id order each
-/// tick. Re-running with the same spec and seed therefore replays the
-/// identical fault sequence for any --threads value.
+/// Determinism contract: network draws happen once per send, in the
+/// simulator's fixed send order, disk draws come from a per-engine
+/// stream whose operation order is fixed by the virtual schedule, and
+/// stall draws are made in engine-id order each tick. Re-running with
+/// the same spec and seed therefore replays the identical fault
+/// sequence for any --threads value.
 ///
 /// Heal() turns every fault off; the harness calls it between the
 /// runtime phase and drain/cleanup so that faults stay output-
@@ -95,10 +95,10 @@ class FaultPlan {
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
-  /// Extra delivery delay for `message` (0 = none). Main thread only.
+  /// Extra delivery delay for `message` (0 = none).
   Tick SampleExtraDelay(const Message& message);
   /// True when `message` should be delivered twice (bug-injection mode;
-  /// only tuple batches are ever duplicated). Main thread only.
+  /// only tuple batches are ever duplicated).
   bool SampleDuplicate(const Message& message);
 
   /// Outcome of one disk operation on `engine`'s backend.
@@ -125,11 +125,11 @@ class FaultPlan {
                                     int64_t offset, int attempt) const;
 
   /// Stall duration for `engine` this tick (0 = none). Called once per
-  /// engine per tick, in engine-id order, on the main thread.
+  /// engine per tick, in engine-id order.
   Tick SampleStall(EngineId engine);
 
-  /// Disables every fault from now on. Thread-safe (the async I/O
-  /// worker may still be consulting the plan for queued writes).
+  /// Disables every fault from now on. Thread-safe (the cleanup's
+  /// workers and prefetch thread read it through the block sampler).
   void Heal() { healed_.store(true, std::memory_order_release); }
   bool healed() const { return healed_.load(std::memory_order_acquire); }
 

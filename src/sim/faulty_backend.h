@@ -23,10 +23,10 @@ namespace sim {
 /// through — the chaos harness targets the data path, and a run never
 /// removes a segment it did not successfully read first.
 ///
-/// Thread-safety matches the inner backend's contract: at most one
-/// thread touches a given backend at a time (the SpillStore barriers
-/// before any synchronous access), and the plan keys its disk RNG by
-/// engine, so a shared plan never races across engines either.
+/// Thread-safety matches the inner backend's contract: writes, whole
+/// reads and removes come from the one thread that steps the simulator,
+/// and the plan keys its disk RNG by engine, so the draw order per
+/// engine is fixed by the schedule.
 class FaultyBackend : public DiskBackend {
  public:
   FaultyBackend(std::unique_ptr<DiskBackend> inner, FaultPlan* plan,

@@ -191,7 +191,6 @@ TrialOutcome RunTrial(const TrialOptions& options) {
   ClusterConfig golden_config = scenario.config;
   golden_config.strategy = AdaptationStrategy::kNoAdaptation;
   golden_config.num_threads = 1;
-  golden_config.async_spill_io = false;
   golden_config.restore.enabled = false;
   golden_config.per_engine_segment_format.clear();
   Cluster golden_cluster(golden_config);

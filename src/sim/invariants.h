@@ -14,10 +14,9 @@ namespace sim {
 /// Collects invariant violations reported by the protocol participants
 /// (engines, split hosts, coordinator) during a chaos trial.
 ///
-/// Thread-safe: engines report from pool workers during the parallel
-/// phase of a tick. Consumers sort the collected strings before
-/// comparing or printing — arrival order across threads is the one thing
-/// about a trial that is *not* deterministic.
+/// Thread-safe: reports are serialized by the mutex. Consumers sort the
+/// collected strings before comparing or printing, so a report's
+/// position never matters, only its text.
 class InvariantRecorder {
  public:
   void Report(std::string violation) EXCLUDES(mu_) {

@@ -156,9 +156,6 @@ Scenario GenerateScenario(uint64_t seed) {
   }
   flag("--segment-formats=" + formats);
 
-  config.async_spill_io = chance(0.25);
-  if (config.async_spill_io) flag("--async-io");
-
   config.run_duration = pick_tick(SecondsToTicks(10), SecondsToTicks(20));
   flag("--duration-ticks=" + std::to_string(config.run_duration));
   config.sample_period = SecondsToTicks(5);
@@ -181,12 +178,6 @@ Scenario GenerateScenario(uint64_t seed) {
   if (chance(0.4)) {
     faults.stall_prob = pick_double(0.0005, 0.002);
     faults.max_stall_ticks = pick_tick(20, 120);
-  }
-  if (config.async_spill_io) {
-    // An async write that fails after its segment's metadata committed is
-    // real data loss; the generator never pairs the two.
-    faults.write_error_prob = 0.0;
-    faults.latch_write_prob = 0.0;
   }
 
   // Streaming-cleanup coverage: vary the block size the k-way merge

@@ -25,10 +25,9 @@ struct Scenario {
 /// Samples a scenario from `seed`. Every knob the strategies react to is
 /// in play: cluster size, strategy, segment format per engine, spill /
 /// relocation thresholds and timers, skewed and fluctuating workloads,
-/// window semantics, online restore, worker threads, async spill I/O.
-/// Fault classes are enabled independently; write faults are never
-/// combined with async I/O (a failed write after the metadata committed
-/// is genuine data loss, not a survivable fault).
+/// window semantics, online restore, and the cleanup's worker threads
+/// (which the block-read faults exercise). Fault classes are enabled
+/// independently.
 Scenario GenerateScenario(uint64_t seed);
 
 }  // namespace sim

@@ -39,8 +39,8 @@ class DiskBackend {
   /// Thread-safety contract: ReadRange (and Read) must be safe to call
   /// concurrently with other reads on the same backend — the streaming
   /// cleanup prefetcher and the cleanup worker lanes issue overlapping
-  /// ranged reads with no external serialization (writes are all
-  /// barriered out before cleanup starts).
+  /// ranged reads with no external serialization (every write has
+  /// returned before cleanup starts).
   [[nodiscard]] virtual StatusOr<std::string> ReadRange(
       const std::string& name, int64_t offset, int64_t len);
 };

@@ -15,31 +15,12 @@ IoExecutor::~IoExecutor() {
   worker_.join();
 }
 
-void IoExecutor::Submit(std::function<Status()> job) {
+void IoExecutor::Submit(std::function<void()> job) {
   {
     MutexLock lock(mu_);
     queue_.push_back(std::move(job));
-    const int64_t depth =
-        static_cast<int64_t>(queue_.size()) + in_flight_;
-    if (depth > high_water_) high_water_ = depth;
   }
   work_cv_.NotifyOne();
-}
-
-Status IoExecutor::Drain() {
-  MutexLock lock(mu_);
-  while (!queue_.empty() || in_flight_ != 0) drain_cv_.Wait(mu_);
-  return first_error_;
-}
-
-Status IoExecutor::status() const {
-  MutexLock lock(mu_);
-  return first_error_;
-}
-
-int64_t IoExecutor::queue_high_water() const {
-  MutexLock lock(mu_);
-  return high_water_;
 }
 
 void IoExecutor::WorkerLoop() {
@@ -47,18 +28,14 @@ void IoExecutor::WorkerLoop() {
   while (true) {
     while (!stop_ && queue_.empty()) work_cv_.Wait(mu_);
     // Finish queued work even when stopping: the destructor's contract
-    // is drain-then-join, so a pending spill write is never dropped.
-    // An empty queue here therefore means stop.
+    // is run-then-join, so a queued job is never dropped. An empty queue
+    // here therefore means stop.
     if (queue_.empty()) break;
-    std::function<Status()> job = std::move(queue_.front());
+    std::function<void()> job = std::move(queue_.front());
     queue_.pop_front();
-    in_flight_ = 1;
     mu_.Unlock();
-    Status s = job();
+    job();
     mu_.Lock();
-    in_flight_ = 0;
-    if (first_error_.ok() && !s.ok()) first_error_ = std::move(s);
-    if (queue_.empty()) drain_cv_.NotifyAll();
   }
   mu_.Unlock();
 }

@@ -1,71 +1,40 @@
 #ifndef DCAPE_STORAGE_IO_EXECUTOR_H_
 #define DCAPE_STORAGE_IO_EXECUTOR_H_
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
 
 #include "common/mutex.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace dcape {
 
 /// A single background thread that drains a FIFO queue of disk jobs.
 ///
-/// The spill stores use it to take real file I/O off the simulation
-/// thread: WriteSegment snapshots its blob, enqueues the write, and
-/// returns immediately with the unchanged *virtual* I/O cost — the
-/// virtual clock never observes wall-clock disk latency, so results
-/// stay bit-identical with async I/O on or off.
-///
-/// Ordering contract: jobs run in submission order (FIFO, one worker),
-/// and Drain() is a full barrier — when it returns, every previously
-/// submitted job has finished and its effects happen-before the caller
-/// (released by the worker's mutex unlock, acquired by Drain's lock).
-/// That barrier is what lets the non-thread-safe disk backends stay
-/// lock-free: the caller only touches a backend directly after
-/// draining the jobs that touch it.
-///
-/// The first job failure is latched and returned by status() / Drain();
-/// later jobs still run (a failed spill write must not wedge the queue).
+/// The streaming cleanup's block fetchers (cleanup/block_reader.h) use
+/// it to prefetch segment blocks while the merge decodes earlier ones.
+/// Jobs run in submission order (FIFO, one worker) and report their own
+/// outcome; the executor keeps no result.
 class IoExecutor {
  public:
   IoExecutor();
-  /// Drains the queue, then joins the worker.
+  /// Runs every queued job, then joins the worker.
   ~IoExecutor();
 
   IoExecutor(const IoExecutor&) = delete;
   IoExecutor& operator=(const IoExecutor&) = delete;
 
   /// Enqueues `job` for the background thread. Never blocks (the queue
-  /// is unbounded; the high-water counter records how deep it got).
-  void Submit(std::function<Status()> job) EXCLUDES(mu_);
-
-  /// Blocks until every job submitted before this call has completed.
-  /// Returns the first error any job has produced so far (sticky).
-  [[nodiscard]] Status Drain() EXCLUDES(mu_);
-
-  /// First error produced by any completed job, without draining.
-  [[nodiscard]] Status status() const EXCLUDES(mu_);
-
-  /// Deepest the queue has been, including the job in flight. Depends on
-  /// wall-clock scheduling, so it is observability-only — never compare
-  /// it across runs.
-  int64_t queue_high_water() const EXCLUDES(mu_);
+  /// is unbounded).
+  void Submit(std::function<void()> job) EXCLUDES(mu_);
 
  private:
   void WorkerLoop() EXCLUDES(mu_);
 
-  mutable Mutex mu_;
-  CondVar work_cv_;   // signalled on submit / stop
-  CondVar drain_cv_;  // signalled when a job finishes
-  std::deque<std::function<Status()>> queue_ GUARDED_BY(mu_);
-  /// Jobs popped but still executing (0 or 1 with a single worker).
-  int in_flight_ GUARDED_BY(mu_) = 0;
-  int64_t high_water_ GUARDED_BY(mu_) = 0;
-  Status first_error_ GUARDED_BY(mu_) = Status::OK();
+  Mutex mu_;
+  CondVar work_cv_;  // signalled on submit / stop
+  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   std::thread worker_;
 };

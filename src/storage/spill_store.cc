@@ -8,9 +8,9 @@
 namespace dcape {
 
 SpillStore::SpillStore(EngineId engine, const Config& config,
-                       std::unique_ptr<DiskBackend> backend, IoExecutor* io,
+                       std::unique_ptr<DiskBackend> backend,
                        obs::MetricsRegistry* metrics)
-    : engine_(engine), config_(config), backend_(std::move(backend)), io_(io) {
+    : engine_(engine), config_(config), backend_(std::move(backend)) {
   DCAPE_CHECK(backend_ != nullptr);
   DCAPE_CHECK_GT(config_.write_bytes_per_tick, 0);
   DCAPE_CHECK_GT(config_.read_bytes_per_tick, 0);
@@ -30,33 +30,11 @@ SpillStore::SpillStore(EngineId engine, const Config& config,
   partial_raw_bytes_ = metrics->AddCounter(obs::m::kPartialRawBytes, entity);
 }
 
-SpillStore::~SpillStore() {
-  // The backend dies with this store; writes still in the queue would
-  // otherwise race its destruction.
-  (void)Barrier();
-}
-
-Status SpillStore::Barrier() const {
-  // The drain result is the executor-global first error, which may
-  // belong to a different store sharing the executor; only the error
-  // our own jobs latched counts here.
-  if (io_ != nullptr) (void)io_->Drain();
-  MutexLock lock(async_mu_);
-  return async_error_;
-}
-
 StatusOr<Tick> SpillStore::WriteSegment(PartitionId partition, Tick now,
                                         std::string_view blob,
                                         int64_t tuple_count, bool evicted,
                                         int64_t raw_bytes, bool partial,
                                         int sub_depth) {
-  // Surface an earlier failed background write here rather than letting
-  // the run continue against a spill area that silently lost state.
-  {
-    MutexLock lock(async_mu_);
-    DCAPE_RETURN_IF_ERROR(async_error_);
-  }
-
   SpillSegmentMeta meta;
   meta.engine = engine_;
   meta.partition = partition;
@@ -85,22 +63,7 @@ StatusOr<Tick> SpillStore::WriteSegment(PartitionId partition, Tick now,
     meta.sections = std::move(sections).value();
   }
 
-  if (io_ != nullptr) {
-    // Snapshot the blob: the caller's buffer is typically reused or
-    // freed before the background write lands. The job latches its own
-    // failure into this store (capturing `this` is safe: the destructor
-    // barriers before the backend or the latch dies).
-    io_->Submit([this, name = meta.object_name, data = std::string(blob)] {
-      Status s = backend_->Write(name, data);
-      if (!s.ok()) {
-        MutexLock lock(async_mu_);
-        if (async_error_.ok()) async_error_ = s;
-      }
-      return s;
-    });
-  } else {
-    DCAPE_RETURN_IF_ERROR(backend_->Write(meta.object_name, blob));
-  }
+  DCAPE_RETURN_IF_ERROR(backend_->Write(meta.object_name, blob));
 
   encoded_bytes_->Add(meta.bytes);
   raw_bytes_->Add(meta.raw_bytes);
@@ -129,7 +92,6 @@ Status SpillStore::RemoveSegment(int64_t segment_id) {
     return Status::NotFound("no spill segment with id " +
                             std::to_string(segment_id));
   }
-  DCAPE_RETURN_IF_ERROR(Barrier());
   DCAPE_RETURN_IF_ERROR(backend_->Remove(it->object_name));
   resident_bytes_->Add(-it->bytes);
   segments_.erase(it);
@@ -138,7 +100,6 @@ Status SpillStore::RemoveSegment(int64_t segment_id) {
 
 StatusOr<std::string> SpillStore::ReadSegment(const SpillSegmentMeta& meta,
                                               Tick* io_ticks) const {
-  DCAPE_RETURN_IF_ERROR(Barrier());
   DCAPE_ASSIGN_OR_RETURN(std::string blob, backend_->Read(meta.object_name));
   if (static_cast<int64_t>(blob.size()) != meta.bytes) {
     return Status::Internal("spill segment size mismatch for " +
@@ -153,7 +114,6 @@ StatusOr<std::string> SpillStore::ReadSegment(const SpillSegmentMeta& meta,
 
 StatusOr<std::string> SpillStore::ReadSegmentRange(
     const SpillSegmentMeta& meta, int64_t offset, int64_t len) const {
-  DCAPE_RETURN_IF_ERROR(Barrier());
   return backend_->ReadRange(meta.object_name, offset, len);
 }
 

@@ -8,13 +8,10 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/virtual_clock.h"
 #include "obs/metrics.h"
 #include "storage/disk_backend.h"
-#include "storage/io_executor.h"
 #include "storage/segment_index.h"
 
 namespace dcape {
@@ -63,15 +60,7 @@ struct SpillSegmentMeta {
 
 /// The per-engine spill area: serialized partition-group generations plus
 /// a virtual-time I/O cost model (sequential write/read bandwidth).
-///
-/// With an IoExecutor attached, the real backend write happens on the
-/// background thread: WriteSegment snapshots the blob, enqueues the
-/// write, and returns the unchanged *virtual* cost immediately. All
-/// metadata and counters update synchronously, so virtual-clock
-/// accounting — and therefore results — are bit-identical with async
-/// I/O on or off. Reads, removes, and destruction barrier on
-/// outstanding writes, which also keeps the (non-thread-safe) backend
-/// single-threaded at any instant.
+/// Writes reach the backend before WriteSegment returns.
 class SpillStore {
  public:
   struct Config {
@@ -82,15 +71,12 @@ class SpillStore {
     int64_t read_bytes_per_tick = 50000;
   };
 
-  /// `io` (optional, unowned, may be shared across stores) makes backend
-  /// writes asynchronous; it must outlive the store. `metrics` (optional,
-  /// unowned) is the cluster's unified registry; the store registers its
-  /// storage.* cells there, or in a private registry when null
-  /// (standalone use in tests).
+  /// `metrics` (optional, unowned) is the cluster's unified registry;
+  /// the store registers its storage.* cells there, or in a private
+  /// registry when null (standalone use in tests).
   SpillStore(EngineId engine, const Config& config,
-             std::unique_ptr<DiskBackend> backend, IoExecutor* io = nullptr,
+             std::unique_ptr<DiskBackend> backend,
              obs::MetricsRegistry* metrics = nullptr);
-  ~SpillStore();
 
   SpillStore(const SpillStore&) = delete;
   SpillStore& operator=(const SpillStore&) = delete;
@@ -99,39 +85,33 @@ class SpillStore {
   /// virtual I/O duration in ticks; the caller (query engine) models the
   /// spill as keeping the engine busy that long. `raw_bytes` is the v1
   /// fixed-width size of the same state for the compression counters
-  /// (defaults to the blob size). A failed *asynchronous* write surfaces
-  /// as the error of a later WriteSegment / ReadSegment / RemoveSegment.
+  /// (defaults to the blob size). A failed backend write returns the
+  /// backend's error and records no segment.
   [[nodiscard]] StatusOr<Tick> WriteSegment(PartitionId partition, Tick now,
                                             std::string_view blob,
                                             int64_t tuple_count,
                                             bool evicted = false,
                                             int64_t raw_bytes = -1,
                                             bool partial = false,
-                                            int sub_depth = 0)
-      EXCLUDES(async_mu_);
+                                            int sub_depth = 0);
 
-  /// Reads a segment back (barriers on outstanding async writes).
-  /// `io_ticks` (optional out) receives the virtual read duration,
-  /// charged by the cleanup cost model.
+  /// Reads a segment back. `io_ticks` (optional out) receives the
+  /// virtual read duration, charged by the cleanup cost model.
   [[nodiscard]] StatusOr<std::string> ReadSegment(
-      const SpillSegmentMeta& meta, Tick* io_ticks = nullptr) const
-      EXCLUDES(async_mu_);
+      const SpillSegmentMeta& meta, Tick* io_ticks = nullptr) const;
 
-  /// Reads `len` bytes of a segment starting at byte `offset` (barriers
-  /// on outstanding async writes). The streaming cleanup's block
-  /// fetchers call this concurrently from worker lanes and the prefetch
-  /// executor; it charges no virtual ticks (the cleanup cost model
-  /// charges whole segments up front from metadata) and touches no
-  /// counters, so concurrent calls are safe.
+  /// Reads `len` bytes of a segment starting at byte `offset`. The
+  /// streaming cleanup's block fetchers call this concurrently from
+  /// worker lanes and the prefetch executor; it charges no virtual ticks
+  /// (the cleanup cost model charges whole segments up front from
+  /// metadata) and touches no counters, so concurrent calls are safe.
   [[nodiscard]] StatusOr<std::string> ReadSegmentRange(
-      const SpillSegmentMeta& meta, int64_t offset, int64_t len) const
-      EXCLUDES(async_mu_);
+      const SpillSegmentMeta& meta, int64_t offset, int64_t len) const;
 
   /// Removes a segment (used by online restore once the generation has
   /// been merged back into memory). NotFound for unknown ids. O(log n):
   /// segments_ is sorted by the monotonically assigned segment id.
-  [[nodiscard]] Status RemoveSegment(int64_t segment_id)
-      EXCLUDES(async_mu_);
+  [[nodiscard]] Status RemoveSegment(int64_t segment_id);
 
   /// All segments in spill order.
   const std::vector<SpillSegmentMeta>& segments() const { return segments_; }
@@ -164,20 +144,9 @@ class SpillStore {
   const Config& config() const { return config_; }
 
  private:
-  /// Waits for queued writes, then returns this store's latched async
-  /// error. No-op without an executor.
-  [[nodiscard]] Status Barrier() const EXCLUDES(async_mu_);
-
   EngineId engine_;
   Config config_;
   std::unique_ptr<DiskBackend> backend_;
-  IoExecutor* io_;
-  /// First failure of one of *this store's* background writes, latched
-  /// by the write job itself (the executor may be shared across stores,
-  /// so its global first-error is not ours). Jobs write it from the I/O
-  /// thread.
-  mutable Mutex async_mu_;
-  Status async_error_ GUARDED_BY(async_mu_) = Status::OK();
   std::vector<SpillSegmentMeta> segments_;
   int64_t next_segment_id_ = 0;
   /// Private registry used only when the caller did not supply one;

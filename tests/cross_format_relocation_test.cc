@@ -175,5 +175,31 @@ TEST(CrossFormatRelocationTest, ClusterRelocatesV2StateOntoV1Engine) {
   CheckMixedCluster({SegmentFormat::kV2, SegmentFormat::kV1}, {0.85, 0.15});
 }
 
+// ----- Cluster level, one format per run: v1 and v2 blobs restore
+// identical state, so the format choice only changes encoded byte
+// counts, never results or adaptation decisions.
+
+TEST(CrossFormatRelocationTest, SegmentFormatDoesNotChangeResults) {
+  ClusterConfig config = SmallClusterConfig();
+  config.run_duration = SecondsToTicks(40);
+  config.strategy = AdaptationStrategy::kSpillOnly;
+  config.num_threads = 2;
+
+  config.segment_format = SegmentFormat::kV2;
+  RunResult v2 = Cluster(config).Run();
+  EXPECT_GT(v2.spill_events, 0);
+
+  config.segment_format = SegmentFormat::kV1;
+  RunResult v1 = Cluster(config).Run();
+
+  EXPECT_EQ(v1.runtime_results, v2.runtime_results);
+  EXPECT_EQ(v1.cleanup.result_count, v2.cleanup.result_count);
+  EXPECT_EQ(v1.spill_events, v2.spill_events);
+  EXPECT_EQ(ToMultiset(AllResults(v1)), ToMultiset(AllResults(v2)));
+  // The compact format strictly shrinks what lands on disk.
+  EXPECT_LT(v2.storage.encoded_bytes, v1.storage.encoded_bytes);
+  EXPECT_EQ(v1.storage.raw_bytes, v2.storage.raw_bytes);
+}
+
 }  // namespace
 }  // namespace dcape

@@ -329,7 +329,7 @@ TEST(ExperimentFlagsTest, RealtimeAllowsSharedFlags) {
   StatusOr<ExperimentOptions> options =
       Parse({"--realtime", "--strategy=lazy-disk", "--engines=4",
              "--streams=3", "--fluctuation", "--csv=/tmp/x.csv",
-             "--trace", "--async-io", "--file-backend"});
+             "--trace", "--file-backend"});
   ASSERT_TRUE(options.ok()) << options.status().message();
   EXPECT_TRUE(options->realtime);
   EXPECT_EQ(options->cluster.num_engines, 4);

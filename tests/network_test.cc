@@ -178,6 +178,43 @@ TEST_F(NetworkTest, HandlersCanSendDuringDelivery) {
   EXPECT_EQ(second_hop_at, 4);  // two hops of latency 1 + transfer 1
 }
 
+// Nodes 1 and 2 each receive one message due at tick 2, node 2's sent
+// first; each handler forwards to node 3 at once. Returns the senders in
+// the order node 3 hears from them.
+std::vector<NodeId> ForwardOrderAtNode3(bool waves) {
+  Network::Config config;
+  config.latency_ticks = 1;
+  config.bytes_per_tick = 1 << 30;
+  Network net(config);
+  for (NodeId relay : {1, 2}) {
+    net.RegisterNode(relay, [&net, relay](Tick now, const Message&) {
+      net.Send(SmallMessage(relay, 3), now);
+    });
+  }
+  std::vector<NodeId> heard;
+  net.RegisterNode(3, [&heard](Tick, const Message& m) {
+    heard.push_back(m.from);
+  });
+  net.Send(SmallMessage(0, 2), 0);
+  net.Send(SmallMessage(0, 1), 0);
+  if (waves) {
+    net.DeliverWaves(10);
+  } else {
+    net.DeliverUntil(10);
+  }
+  return heard;
+}
+
+TEST_F(NetworkTest, WavesDeliverInNodeOrderAndEnqueueSendsInThatOrder) {
+  // DeliverWaves runs node 1's inbox before node 2's within the wave, so
+  // node 1's forward is sent, and delivered, first.
+  EXPECT_EQ(ForwardOrderAtNode3(/*waves=*/true), (std::vector<NodeId>{1, 2}));
+  // DeliverUntil's one global (arrival, sequence) order runs node 2's
+  // earlier-sent message first instead.
+  EXPECT_EQ(ForwardOrderAtNode3(/*waves=*/false),
+            (std::vector<NodeId>{2, 1}));
+}
+
 TEST(MessageTest, TypeNamesAreStable) {
   EXPECT_STREQ(MessageTypeName(MessageType::kTupleBatch), "TupleBatch");
   EXPECT_STREQ(MessageTypeName(MessageType::kStateTransfer), "StateTransfer");

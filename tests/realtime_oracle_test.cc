@@ -36,7 +36,6 @@ void ExpectMatchesVirtualOracle(ClusterConfig config,
   ClusterConfig golden_config = config;
   golden_config.strategy = AdaptationStrategy::kNoAdaptation;
   golden_config.num_threads = 1;
-  golden_config.async_spill_io = false;
   golden_config.use_file_backend = false;
   golden_config.run_duration = report.ticks_run;
   Cluster golden_cluster(golden_config);

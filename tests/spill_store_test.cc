@@ -6,7 +6,6 @@
 #include <string>
 
 #include "storage/disk_backend.h"
-#include "storage/io_executor.h"
 
 namespace dcape {
 namespace {
@@ -108,89 +107,10 @@ TEST(SpillStoreTest, RawBytesCounterTracksPreEncodingSize) {
   EXPECT_EQ(store.segments()[1].raw_bytes, 40);
 }
 
-TEST(SpillStoreTest, AsyncWritesAreReadableAfterBarrier) {
-  IoExecutor io;
-  SpillStore::Config config;
-  config.write_bytes_per_tick = 100;
-  config.read_bytes_per_tick = 200;
-  SpillStore store(/*engine=*/0, config,
-                   std::make_unique<MemoryDiskBackend>(), &io);
-  const std::string blob(250, 'z');
-  // Virtual cost is identical to the synchronous path.
-  EXPECT_EQ(store.WriteSegment(7, 10, blob, 5).value(), 3);
-  ASSERT_EQ(store.segments().size(), 1u);
-  // ReadSegment barriers on the queued write before touching the backend.
-  EXPECT_EQ(store.ReadSegment(store.segments()[0]).value(), blob);
-}
-
-TEST(SpillStoreTest, AsyncWriteSnapshotsTheBlob) {
-  IoExecutor io;
-  SpillStore store(/*engine=*/0, SpillStore::Config{},
-                   std::make_unique<MemoryDiskBackend>(), &io);
-  std::string blob = "original-contents";
-  ASSERT_TRUE(store.WriteSegment(1, 0, blob, 1).ok());
-  // Caller reuses its buffer immediately — the queued write must hold a
-  // private copy.
-  blob.assign(blob.size(), '!');
-  EXPECT_EQ(store.ReadSegment(store.segments()[0]).value(),
-            "original-contents");
-}
-
-TEST(SpillStoreTest, ManyAsyncWritesAllLand) {
-  IoExecutor io;
-  SpillStore store(/*engine=*/2, SpillStore::Config{},
-                   std::make_unique<MemoryDiskBackend>(), &io);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        store.WriteSegment(i % 7, i, std::string(static_cast<size_t>(i + 1),
-                                                 static_cast<char>('a' + i % 26)),
-                           1)
-            .ok());
-  }
-  EXPECT_EQ(store.segments_written(), 200);
-  for (const SpillSegmentMeta& meta : store.segments()) {
-    StatusOr<std::string> blob = store.ReadSegment(meta);
-    ASSERT_TRUE(blob.ok());
-    EXPECT_EQ(static_cast<int64_t>(blob->size()), meta.bytes);
-  }
-  EXPECT_GE(io.queue_high_water(), 1);
-}
-
-TEST(SpillStoreTest, AsyncRemoveBarriersBeforeBackendRemove) {
-  IoExecutor io;
-  SpillStore store(/*engine=*/0, SpillStore::Config{},
-                   std::make_unique<MemoryDiskBackend>(), &io);
-  ASSERT_TRUE(store.WriteSegment(1, 0, "abc", 1).ok());
-  // Without the barrier this could race the queued write and NotFound.
-  EXPECT_TRUE(store.RemoveSegment(0).ok());
-  EXPECT_EQ(store.segment_count(), 0);
-}
-
-TEST(IoExecutorTest, DrainIsABarrierAndLatchesFirstError) {
-  IoExecutor io;
-  int done = 0;
-  io.Submit([&done] {
-    done += 1;
-    return Status::OK();
-  });
-  io.Submit([] { return Status::Internal("boom-1"); });
-  io.Submit([] { return Status::Internal("boom-2"); });
-  io.Submit([&done] {
-    done += 1;
-    return Status::OK();
-  });
-  Status s = io.Drain();
-  EXPECT_EQ(done, 2);  // jobs after a failure still run
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_EQ(s.message(), "boom-1");
-  EXPECT_EQ(io.status().message(), "boom-1");
-}
-
 // A backend whose writes always fail with a recognizable message.
 class FailingBackend : public DiskBackend {
  public:
-  explicit FailingBackend(std::string error = "disk full")
-      : error_(std::move(error)) {}
+  explicit FailingBackend(std::string error) : error_(std::move(error)) {}
   Status Write(const std::string&, std::string_view) override {
     return Status::Internal(error_);
   }
@@ -206,53 +126,19 @@ class FailingBackend : public DiskBackend {
   std::string error_;
 };
 
-TEST(SpillStoreTest, AsyncWriteErrorSurfacesOnNextOperation) {
-  IoExecutor io;
+TEST(SpillStoreTest, FailedWriteReturnsBackendErrorAndRecordsNothing) {
   SpillStore store(/*engine=*/0, SpillStore::Config{},
-                   std::make_unique<FailingBackend>(), &io);
-  ASSERT_TRUE(store.WriteSegment(1, 0, "abc", 1).ok());  // queued
-  ASSERT_TRUE(io.Drain().code() == StatusCode::kInternal);
-  // The latched failure surfaces on the next write, carrying the
-  // backend's original error text, not a generic drain error.
-  Status next = store.WriteSegment(1, 1, "def", 1).status();
-  EXPECT_EQ(next.code(), StatusCode::kInternal);
-  EXPECT_EQ(next.message(), "disk full");
-}
-
-TEST(SpillStoreTest, AsyncWriteErrorIsSticky) {
-  IoExecutor io;
-  SpillStore store(/*engine=*/0, SpillStore::Config{},
-                   std::make_unique<FailingBackend>(), &io);
-  ASSERT_TRUE(store.WriteSegment(1, 0, "abc", 1).ok());
-  (void)io.Drain();
-  // Every later operation keeps failing with the first error.
-  EXPECT_EQ(store.WriteSegment(1, 1, "def", 1).status().message(),
-            "disk full");
-  EXPECT_EQ(store.ReadSegment(store.segments()[0]).status().message(),
-            "disk full");
-  EXPECT_EQ(store.RemoveSegment(0).message(), "disk full");
-}
-
-TEST(SpillStoreTest, SharedExecutorErrorStaysWithItsOwnStore) {
-  // Two stores share one executor. A failed write of store A must not
-  // poison store B: the executor-global first error is not per-store.
-  IoExecutor io;
-  SpillStore failing(/*engine=*/0, SpillStore::Config{},
-                     std::make_unique<FailingBackend>("engine 0 disk died"),
-                     &io);
-  SpillStore healthy(/*engine=*/1, SpillStore::Config{},
-                     std::make_unique<MemoryDiskBackend>(), &io);
-  ASSERT_TRUE(failing.WriteSegment(1, 0, "abc", 1).ok());  // queued, will fail
-  ASSERT_TRUE(healthy.WriteSegment(2, 0, "xyz", 1).ok());
-  ASSERT_EQ(io.Drain().code(), StatusCode::kInternal);
-
-  // The healthy store keeps working across all operations...
-  EXPECT_EQ(healthy.ReadSegment(healthy.segments()[0]).value(), "xyz");
-  EXPECT_TRUE(healthy.WriteSegment(2, 1, "more", 1).ok());
-  EXPECT_TRUE(healthy.RemoveSegment(0).ok());
-  // ...while the failing store reports its own error, by original text.
-  EXPECT_EQ(failing.WriteSegment(1, 1, "def", 1).status().message(),
-            "engine 0 disk died");
+                   std::make_unique<FailingBackend>("engine 0 disk died"));
+  // The backend's own error comes back from the failing call itself.
+  Status status = store.WriteSegment(1, 0, "abc", 1).status();
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "engine 0 disk died");
+  // No segment and no byte is accounted for the lost write.
+  EXPECT_TRUE(store.segments().empty());
+  EXPECT_EQ(store.segment_count(), 0);
+  EXPECT_EQ(store.segments_written(), 0);
+  EXPECT_EQ(store.total_spilled_bytes(), 0);
+  EXPECT_EQ(store.resident_bytes(), 0);
 }
 
 }  // namespace

@@ -120,7 +120,6 @@ int RunRealtime(ExperimentOptions options) {
     ClusterConfig golden_config = options.cluster;
     golden_config.strategy = AdaptationStrategy::kNoAdaptation;
     golden_config.num_threads = 1;
-    golden_config.async_spill_io = false;
     golden_config.use_file_backend = false;
     golden_config.trace = false;
     golden_config.record_trace = nullptr;
