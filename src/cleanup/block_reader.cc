@@ -16,136 +16,60 @@ int64_t ZigzagDecode(uint64_t v) {
 
 }  // namespace
 
-BlockFetcher::BlockFetcher(IoExecutor* io, RangeReadFn read, int64_t begin,
-                           int64_t end, int64_t block_bytes,
-                           MemoryTracker* tracker, BlockIoStats* stats)
-    : io_(io),
-      read_(std::move(read)),
-      begin_(begin),
+BlockedReader::BlockedReader(RangeReadFn read, int64_t begin, int64_t end,
+                             int64_t block_bytes, MemoryTracker* tracker,
+                             BlockIoStats* stats)
+    : read_(std::move(read)),
       end_(end),
       block_bytes_(block_bytes),
-      num_blocks_(block_bytes > 0 ? (end - begin + block_bytes - 1) /
-                                        block_bytes
-                                  : 0),
       tracker_(tracker),
-      stats_(stats) {
-  DCAPE_CHECK(io_ != nullptr);
-  DCAPE_CHECK_GE(begin_, 0);
-  DCAPE_CHECK_GE(end_, begin_);
+      stats_(stats),
+      next_offset_(begin) {
+  DCAPE_CHECK_GE(begin, 0);
+  DCAPE_CHECK_GE(end_, begin);
   DCAPE_CHECK_GT(block_bytes_, 0);
-  slots_.resize(2);
-  MutexLock lock(mu_);
-  while (next_issue_ < num_blocks_ && next_issue_ < 2) {
-    Issue(next_issue_);
-    ++next_issue_;
-  }
 }
-
-BlockFetcher::~BlockFetcher() {
-  MutexLock lock(mu_);
-  while (in_flight_ > 0) ready_cv_.Wait(mu_);
-  // Release any block that landed but was never consumed (a cursor that
-  // failed or a partition merge cut short by an error).
-  for (Slot& slot : slots_) {
-    if (slot.ready && slot.status.ok()) {
-      tracker_->Add(-static_cast<int64_t>(slot.data.size()));
-    }
-  }
-}
-
-bool BlockFetcher::Done() const {
-  MutexLock lock(mu_);
-  return next_consume_ == num_blocks_;
-}
-
-void BlockFetcher::Issue(int64_t block_index) {
-  const int64_t offset = begin_ + block_index * block_bytes_;
-  const int64_t len = std::min(block_bytes_, end_ - offset);
-  Slot* slot = &slots_[static_cast<size_t>(block_index % 2)];
-  DCAPE_CHECK(!slot->ready);
-  ++in_flight_;
-  stats_->issued.fetch_add(1, std::memory_order_relaxed);
-  io_->Submit([this, slot, offset, len] {
-    StatusOr<std::string> block = Status::Internal("block read not attempted");
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      block = read_(offset, len);
-      if (block.ok() && static_cast<int64_t>(block->size()) == len) break;
-      if (block.ok()) {
-        // A short block is injected (or real) corruption: same retry
-        // path as a failed read.
-        block = Status::Internal("short block read at offset " +
-                                 std::to_string(offset));
-      }
-      stats_->retries.fetch_add(1, std::memory_order_relaxed);
-    }
-    MutexLock lock(mu_);
-    if (block.ok()) {
-      tracker_->Add(static_cast<int64_t>(block->size()));
-      stats_->completed.fetch_add(1, std::memory_order_relaxed);
-      slot->data = std::move(block).value();
-      slot->status = Status::OK();
-    } else {
-      slot->status = block.status();
-    }
-    slot->ready = true;
-    --in_flight_;
-    ready_cv_.NotifyAll();
-  });
-}
-
-StatusOr<std::string> BlockFetcher::Next() {
-  MutexLock lock(mu_);
-  DCAPE_CHECK_LT(next_consume_, num_blocks_);
-  Slot* slot = &slots_[static_cast<size_t>(next_consume_ % 2)];
-  if (!slot->ready) {
-    stats_->stalls.fetch_add(1, std::memory_order_relaxed);
-    while (!slot->ready) ready_cv_.Wait(mu_);
-  }
-  if (!slot->status.ok()) {
-    // Leave the slot as-is: an errored fetcher is torn down, not
-    // consumed further.
-    return slot->status;
-  }
-  std::string data = std::move(slot->data);
-  slot->data.clear();
-  slot->ready = false;
-  ++next_consume_;
-  if (next_issue_ < num_blocks_) {
-    Issue(next_issue_);
-    ++next_issue_;
-  }
-  return data;
-}
-
-BlockedReader::BlockedReader(std::unique_ptr<BlockFetcher> fetcher,
-                             MemoryTracker* tracker)
-    : fetcher_(std::move(fetcher)), tracker_(tracker) {}
 
 BlockedReader::~BlockedReader() {
   tracker_->Add(-static_cast<int64_t>(window_.size()));
 }
 
-bool BlockedReader::exhausted() const {
-  return pos_ == window_.size() && fetcher_->Done();
-}
-
 Status BlockedReader::Ensure(size_t n) {
   while (window_.size() - pos_ < n) {
-    if (fetcher_->Done()) {
+    if (next_offset_ == end_) {
       return Status::OutOfRange("truncated input reading spill section");
     }
     if (pos_ > 0) {
-      // Compact the consumed prefix so the window stays bounded by the
-      // in-flight blocks plus one partially consumed item.
+      // Compact the consumed prefix so the window stays bounded by one
+      // block plus one partially consumed item.
       tracker_->Add(-static_cast<int64_t>(pos_));
       window_.erase(0, pos_);
       pos_ = 0;
     }
-    DCAPE_ASSIGN_OR_RETURN(std::string block, fetcher_->Next());
-    // The block's tracker charge transfers to the window (released on
-    // compaction / destruction).
-    window_ += block;
+    DCAPE_RETURN_IF_ERROR(ReadNextBlock());
   }
+  return Status::OK();
+}
+
+Status BlockedReader::ReadNextBlock() {
+  const int64_t len = std::min(block_bytes_, end_ - next_offset_);
+  StatusOr<std::string> block = Status::Internal("block read not attempted");
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    block = read_(next_offset_, len);
+    if (block.ok() && static_cast<int64_t>(block->size()) == len) break;
+    if (block.ok()) {
+      // A short block is injected (or real) corruption: same retry path
+      // as a failed read.
+      block = Status::Internal("short block read at offset " +
+                               std::to_string(next_offset_));
+    }
+    stats_->retries.fetch_add(1, std::memory_order_relaxed);
+  }
+  DCAPE_RETURN_IF_ERROR(block.status());
+  tracker_->Add(len);
+  stats_->blocks_read.fetch_add(1, std::memory_order_relaxed);
+  window_ += *block;
+  next_offset_ += len;
   return Status::OK();
 }
 

@@ -9,12 +9,9 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/virtual_clock.h"
 #include "state/partition_group.h"
-#include "storage/io_executor.h"
 
 namespace dcape {
 
@@ -55,89 +52,37 @@ class MemoryTracker {
   std::atomic<int64_t> peak_{0};
 };
 
-/// Block-level I/O counters for one partition's cursors. issued /
-/// completed / retries are pure functions of the segment layout (and
-/// the deterministic fault hash), so they fold bit-identically across
-/// thread counts; stalls counts consumer waits on a block that had not
-/// landed yet and is wall-dependent observability.
+/// Block-level I/O counters of one cleanup run, shared by every lane.
+/// Both are pure functions of the segment layouts, the block size and
+/// the deterministic fault hash, so they fold bit-identically across
+/// thread counts.
 struct BlockIoStats {
-  std::atomic<int64_t> issued{0};
-  std::atomic<int64_t> completed{0};
+  std::atomic<int64_t> blocks_read{0};
   std::atomic<int64_t> retries{0};
-  std::atomic<int64_t> stalls{0};
 };
 
-/// Double-buffered sequential block fetcher over one byte range of one
-/// spill segment (the `SegmentBlockReader` of the streaming cleanup
-/// pipeline). Two fixed-size blocks are kept in flight on the shared
-/// prefetch IoExecutor; consuming block i issues block i+2, so decode
-/// and disk I/O overlap while resident bytes stay at O(2 blocks) per
-/// cursor. Transient read failures (fault injection) are retried inside
-/// the job with the attempt number folded into the fault hash, so a
-/// bounded retry budget clears any transient fault deterministically.
-class BlockFetcher {
+/// Sequential decoder over one byte range of one spill segment (the
+/// `SegmentBlockReader` of the streaming cleanup pipeline): the serde
+/// getters the section cursors need, working across block boundaries
+/// with a compacting window. When the window runs dry the reader reads
+/// the range's next fixed-size block itself, on the lane that merges
+/// it, so a cursor holds at most one block plus one partially consumed
+/// item. Transient read failures (fault injection) are retried with the
+/// attempt number folded into the fault hash, so a bounded retry budget
+/// clears any transient fault deterministically.
+class BlockedReader {
  public:
-  /// Reads `len` bytes at segment offset `offset`. Must be safe to call
-  /// from the prefetch thread concurrently with other reads.
+  /// Reads `len` bytes at segment offset `offset`. Cleanup lanes call
+  /// it concurrently, each for its own partition's ranges.
   using RangeReadFn =
       std::function<StatusOr<std::string>(int64_t offset, int64_t len)>;
 
-  /// Covers [begin, end) of the segment in `block_bytes` steps. Issues
-  /// the first two blocks immediately.
-  BlockFetcher(IoExecutor* io, RangeReadFn read, int64_t begin, int64_t end,
-               int64_t block_bytes, MemoryTracker* tracker,
-               BlockIoStats* stats);
-  /// Waits for in-flight jobs and releases any unconsumed blocks.
-  ~BlockFetcher();
-
-  BlockFetcher(const BlockFetcher&) = delete;
-  BlockFetcher& operator=(const BlockFetcher&) = delete;
-
-  /// True when every block of the range has been handed out.
-  bool Done() const;
-
-  /// Blocks until the next sequential block has landed and returns it.
-  /// The caller inherits the block's MemoryTracker charge (one byte per
-  /// returned byte) and must release it as the bytes are consumed.
-  [[nodiscard]] StatusOr<std::string> Next();
-
-  /// Attempts per block before the injected-fault retry budget is
-  /// declared exhausted and the read fails for real.
-  static constexpr int kMaxAttempts = 12;
-
- private:
-  struct Slot {
-    bool ready = false;
-    Status status = Status::OK();
-    std::string data;
-  };
-
-  void Issue(int64_t block_index) REQUIRES(mu_);
-
-  IoExecutor* io_;
-  RangeReadFn read_;
-  const int64_t begin_;
-  const int64_t end_;
-  const int64_t block_bytes_;
-  const int64_t num_blocks_;
-  MemoryTracker* tracker_;
-  BlockIoStats* stats_;
-
-  mutable Mutex mu_;
-  CondVar ready_cv_;
-  std::vector<Slot> slots_ GUARDED_BY(mu_);  // ring of 2
-  int64_t next_issue_ GUARDED_BY(mu_) = 0;
-  int64_t next_consume_ GUARDED_BY(mu_) = 0;
-  int in_flight_ GUARDED_BY(mu_) = 0;
-};
-
-/// Primitive decoder over a BlockFetcher's byte stream: the serde
-/// getters the section cursors need, working across block boundaries
-/// with a compacting window so resident bytes stay bounded by the
-/// in-flight blocks plus one partially consumed item.
-class BlockedReader {
- public:
-  BlockedReader(std::unique_ptr<BlockFetcher> fetcher, MemoryTracker* tracker);
+  /// Covers [begin, end) of the segment in `block_bytes` steps. Reads
+  /// nothing until a getter needs bytes.
+  BlockedReader(RangeReadFn read, int64_t begin, int64_t end,
+                int64_t block_bytes, MemoryTracker* tracker,
+                BlockIoStats* stats);
+  /// Releases the window's tracker charge.
   ~BlockedReader();
 
   BlockedReader(const BlockedReader&) = delete;
@@ -152,16 +97,26 @@ class BlockedReader {
   /// Consumes `n` bytes without decoding them (payload skipping).
   [[nodiscard]] Status Skip(uint64_t n);
 
-  /// True when the window and the fetcher are both exhausted.
-  bool exhausted() const;
+  /// Attempts per block before the injected-fault retry budget is
+  /// declared exhausted and the read fails for real.
+  static constexpr int kMaxAttempts = 12;
 
  private:
   /// Makes at least `n` unconsumed bytes available in the window,
   /// compacting the consumed prefix first. OutOfRange at end of range.
   [[nodiscard]] Status Ensure(size_t n);
+  /// Appends the range's next block to the window and charges it to
+  /// the tracker (one byte per byte, released on compaction or
+  /// destruction).
+  [[nodiscard]] Status ReadNextBlock();
 
-  std::unique_ptr<BlockFetcher> fetcher_;
+  RangeReadFn read_;
+  const int64_t end_;
+  const int64_t block_bytes_;
   MemoryTracker* tracker_;
+  BlockIoStats* stats_;
+  /// Segment offset of the first byte not yet read into the window.
+  int64_t next_offset_;
   std::string window_;
   size_t pos_ = 0;
 };

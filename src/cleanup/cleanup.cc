@@ -8,10 +8,8 @@
 
 #include "cleanup/block_reader.h"
 #include "common/check.h"
-#include "common/mutex.h"
 #include "runtime/exec_pool.h"
 #include "state/partition_group.h"
-#include "storage/io_executor.h"
 
 namespace dcape {
 namespace {
@@ -97,9 +95,8 @@ struct OpenSource {
 /// over a disk generation's segment (Run has checked its section index),
 /// MemoryGenCursor over a memory remainder.
 void OpenCursors(const CleanupConfig& config, int num_streams,
-                 const GenerationSource& src, IoExecutor* io,
-                 MemoryTracker* tracker, BlockIoStats* io_stats,
-                 OpenSource* open) {
+                 const GenerationSource& src, MemoryTracker* tracker,
+                 BlockIoStats* io_stats, OpenSource* open) {
   open->cursors.resize(static_cast<size_t>(num_streams));
   open->active.assign(static_cast<size_t>(num_streams), false);
   for (int s = 0; s < num_streams; ++s) {
@@ -113,13 +110,11 @@ void OpenCursors(const CleanupConfig& config, int num_streams,
     const SegmentSections& sections = src.meta->sections;
     const int64_t begin = sections.offsets[static_cast<size_t>(s)];
     const int64_t end = sections.offsets[static_cast<size_t>(s) + 1];
-    auto fetcher = std::make_unique<BlockFetcher>(
-        io,
+    auto reader = std::make_unique<BlockedReader>(
         [store = src.store, meta = src.meta](int64_t offset, int64_t len) {
           return store->ReadSegmentRange(*meta, offset, len);
         },
         begin, end, config.block_bytes, tracker, io_stats);
-    auto reader = std::make_unique<BlockedReader>(std::move(fetcher), tracker);
     if (sections.format == SegmentFormat::kV2) {
       cursor = std::make_unique<V2SectionCursor>(std::move(reader), tracker);
     } else {
@@ -133,14 +128,14 @@ void OpenCursors(const CleanupConfig& config, int num_streams,
 /// eviction fragments, pick the cleanup home, and emit the
 /// cross-generation results Π(C∪Δ)−Π(C)−Π(Δ). Evaluated key-by-key over
 /// a k-way merge of the generations' cursors, so resident memory stays
-/// O(in-flight blocks + current key); results come out in ascending
+/// O(one block per cursor + current key); results come out in ascending
 /// (key, generation, mask) order. Partitions share only the atomic
-/// tracker and I/O counters, the prefetch executor and the sink mutex,
-/// which is what makes the parallel dispatch race-free.
+/// tracker and I/O counters, which is what makes the parallel dispatch
+/// race-free.
 PartitionOutcome ProcessPartition(const CleanupConfig& config,
                                   int num_streams, const PartitionWork& work,
-                                  IoExecutor* io, MemoryTracker* tracker,
-                                  BlockIoStats* io_stats, Mutex* sink_mu) {
+                                  MemoryTracker* tracker,
+                                  BlockIoStats* io_stats) {
   PartitionOutcome outcome;
   if (work.sources.size() < 2) return outcome;
   std::vector<const GenerationSource*> sources;
@@ -189,8 +184,7 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
   Status merge_status = [&]() -> Status {
     for (OpenSource& open : opened) {
       const size_t i = static_cast<size_t>(&open - opened.data());
-      OpenCursors(config, num_streams, *sources[i], io, tracker, io_stats,
-                  &open);
+      OpenCursors(config, num_streams, *sources[i], tracker, io_stats, &open);
       for (size_t s = 0; s < m; ++s) {
         DCAPE_ASSIGN_OR_RETURN(bool more, open.cursors[s]->Advance());
         open.active[s] = more;
@@ -322,10 +316,6 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
                 result.latest_member_ts = max_ts;
                 outcome.produced += 1;
                 if (config.collect_results) outcome.results.push_back(result);
-                if (config.result_sink) {
-                  MutexLock lock(*sink_mu);
-                  config.result_sink(result);
-                }
               }
 
               int s = num_streams - 1;
@@ -513,13 +503,11 @@ StatusOr<CleanupStats> CleanupProcessor::Run(
   }
 
   // ---- Tasks (2)+(3), streaming: per partition, k-way merge the
-  // generation cursors in key order. The prefetch executor is private
-  // to this run; every segment is already on its backend, so concurrent
-  // block reads are safe.
-  IoExecutor prefetch_io;
+  // generation cursors in key order. Each lane reads its own
+  // partition's blocks; every segment is already on its backend, so
+  // concurrent block reads are safe.
   MemoryTracker tracker;
   BlockIoStats io_stats;
-  Mutex sink_mu;
 
   std::vector<PartitionWork> work;
   work.reserve(partitions.size());
@@ -529,8 +517,8 @@ StatusOr<CleanupStats> CleanupProcessor::Run(
   std::vector<PartitionOutcome> outcomes(work.size());
   const auto process = [&](int i) {
     outcomes[static_cast<size_t>(i)] = ProcessPartition(
-        config_, num_streams_, work[static_cast<size_t>(i)], &prefetch_io,
-        &tracker, &io_stats, &sink_mu);
+        config_, num_streams_, work[static_cast<size_t>(i)], &tracker,
+        &io_stats);
   };
   if (pool != nullptr) {
     pool->ParallelFor(static_cast<int>(work.size()), process);
@@ -554,10 +542,8 @@ StatusOr<CleanupStats> CleanupProcessor::Run(
   }
   if (config_.collect_results) stats.results = GatherResults(&outcomes);
 
-  stats.blocks_prefetched = io_stats.issued.load(std::memory_order_relaxed);
-  stats.blocks_completed = io_stats.completed.load(std::memory_order_relaxed);
+  stats.blocks_read = io_stats.blocks_read.load(std::memory_order_relaxed);
   stats.block_read_retries = io_stats.retries.load(std::memory_order_relaxed);
-  stats.prefetch_stalls = io_stats.stalls.load(std::memory_order_relaxed);
   stats.peak_resident_bytes = tracker.peak();
   stats.resident_bytes_leaked = tracker.current();
 

@@ -2,7 +2,6 @@
 #define DCAPE_CLEANUP_CLEANUP_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -35,17 +34,8 @@ struct CleanupConfig {
   /// happens.
   bool collect_results = true;
   /// Block size of the streaming cursors. Each open (generation, stream)
-  /// cursor keeps at most two blocks in flight.
+  /// cursor holds at most one block.
   int64_t block_bytes = 64 * 1024;
-  /// Optional streaming result sink: called once per produced result as
-  /// the merge emits it, without accumulating it anywhere — with
-  /// `collect_results` off this is the O(1)-memory consumption path.
-  /// Called from pool lanes (serialized by an internal mutex); under a
-  /// pool, results of different partitions interleave in completion
-  /// order, so sinks that need the deterministic order must either run
-  /// serially or be order-insensitive (counting, hashing, spooling to
-  /// per-partition files).
-  std::function<void(const JoinResult&)> result_sink;
 };
 
 /// Outcome of the cleanup phase.
@@ -66,17 +56,15 @@ struct CleanupStats {
   std::vector<JoinResult> results;
 
   // Streaming-merge accounting.
-  /// Block prefetches issued. A pure function of the segment layouts
-  /// and block size — deterministic across thread counts.
-  int64_t blocks_prefetched = 0;
-  /// Block prefetches that landed. Equals blocks_prefetched at
-  /// quiescence (the balanced-prefetch invariant the chaos harness
-  /// checks).
-  int64_t blocks_completed = 0;
+  /// Blocks read from disk. A pure function of the segment layouts and
+  /// block size — deterministic across thread counts.
+  int64_t blocks_read = 0;
   /// Block reads retried after an injected (or real) transient failure.
   int64_t block_read_retries = 0;
-  /// Consumer waits on a block that had not landed yet. Wall-dependent,
-  /// observability-only — never compare across runs.
+  /// Always 0: every block is read on the lane that decodes it, so the
+  /// merge never waits on one. Kept only because perfbench
+  /// (perfbench/src/main.cc) reports it; it goes with the next change
+  /// to the benchmark.
   int64_t prefetch_stalls = 0;
   /// High-water mark of tracked cleanup-owned bytes (blocks, decode
   /// windows, current-key member lists). Depends on lane interleaving,
@@ -105,9 +93,10 @@ struct CleanupStats {
 /// sections are written key-sorted; v1 sections are key-contiguous;
 /// memory remainders iterate sorted keys), and a k-way merge of the
 /// cursors holds only the current key's member lists, so resident memory
-/// is O(in-flight blocks + current key), not O(spilled state). Eviction
-/// fragments join, per key, the first non-evicted generation at or after
-/// them that contains that key (one trailing unit when none does).
+/// is O(one block per cursor + current key), not O(spilled state).
+/// Eviction fragments join, per key, the first non-evicted generation at
+/// or after them that contains that key (one trailing unit when none
+/// does).
 class CleanupProcessor {
  public:
   CleanupProcessor(const CleanupConfig& config, int num_streams);
@@ -125,7 +114,9 @@ class CleanupProcessor {
   /// generations), and per-partition outcomes are merged back in fixed
   /// partition order, so CleanupStats and the result vector — ascending
   /// (partition, key, generation, mask) order — are bit-identical to the
-  /// serial run for any worker count.
+  /// serial run for any worker count. A partition's blocks are read on
+  /// the lane that merges it (the calling thread without a pool), each
+  /// exactly once.
   [[nodiscard]] StatusOr<CleanupStats> Run(
       const std::vector<const SpillStore*>& spill_stores,
       const std::vector<const StateManager*>& state_managers,

@@ -157,17 +157,12 @@ inline constexpr char kRtLatencyUs[] = "rt.latency_us";
 
 // Cleanup phase (cluster-wide; set once after the cleanup run).
 /// High-water mark of tracked cleanup-owned bytes in stream mode
-/// (blocks in flight, decode windows, current-key member lists).
+/// (blocks being decoded, decode windows, current-key member lists).
 /// Interleaving-dependent — observability only.
 inline constexpr char kCleanupPeakResidentBytes[] =
     "cleanup.peak_resident_bytes";
-/// Blocks the streaming cleanup prefetched (deterministic).
-inline constexpr char kCleanupBlocksPrefetched[] =
-    "cleanup.blocks_prefetched";
-/// Consumer waits on a block that had not landed yet (wall-dependent —
-/// observability only).
-inline constexpr char kCleanupPrefetchStallTicks[] =
-    "cleanup.prefetch_stall_ticks";
+/// Blocks the streaming cleanup read from disk (deterministic).
+inline constexpr char kCleanupBlocksRead[] = "cleanup.blocks_read";
 
 // Coordinator decisions (cluster-wide).
 inline constexpr char kRelocationsStarted[] = "coordinator.relocations_started";

@@ -271,8 +271,7 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(
     // Simulator-only machinery that has no wall-clock meaning (or whose
     // export contract is tick-based).
     for (const char* conflict :
-         {"--threads", "--duration-min", "--window-sec", "--trace-out",
-          "--report"}) {
+         {"--duration-min", "--window-sec", "--trace-out", "--report"}) {
       if (seen.count(conflict) != 0) {
         return Status::InvalidArgument(
             std::string(conflict) +
@@ -357,7 +356,7 @@ storage:
 realtime (docs/REALTIME.md):
   --realtime             free-running wall-clock driver: one thread per
                          node, lock-free SPSC links, real timers.
-                         Incompatible with --threads, --duration-min,
+                         Incompatible with --duration-min,
                          --window-sec, --trace-out, --report
   --duration-sec=N       wall-clock generation seconds             [5]
   --rate=N               target input tuples/sec; 0 = free-run     [0]

@@ -236,18 +236,15 @@ StatusOr<CleanupStats> Topology::RunCleanup(Tick start) {
   ExecPool pool(std::max(1, config_.num_threads));
   StatusOr<CleanupStats> stats = processor.Run(stores, states, &pool);
   if (!stats.ok()) return stats;
-  // Streaming-pipeline observability. Peak and stalls depend on lane
-  // interleaving / wall clock, so they live in the metrics plane only —
-  // never in the trace, which must stay bit-identical.
+  // Streaming-pipeline observability. The peak depends on lane
+  // interleaving, so it lives in the metrics plane only — never in the
+  // trace, which must stay bit-identical.
   if (cleanup_peak_gauge_ == nullptr) {
     cleanup_peak_gauge_ = metrics_.AddGauge(obs::m::kCleanupPeakResidentBytes);
-    cleanup_blocks_gauge_ = metrics_.AddGauge(obs::m::kCleanupBlocksPrefetched);
-    cleanup_stalls_gauge_ =
-        metrics_.AddGauge(obs::m::kCleanupPrefetchStallTicks);
+    cleanup_blocks_gauge_ = metrics_.AddGauge(obs::m::kCleanupBlocksRead);
   }
   cleanup_peak_gauge_->Set(stats->peak_resident_bytes);
-  cleanup_blocks_gauge_->Set(stats->blocks_prefetched);
-  cleanup_stalls_gauge_->Set(stats->prefetch_stalls);
+  cleanup_blocks_gauge_->Set(stats->blocks_read);
   // The cleanup pass has no per-node event loop; its spans are emitted
   // post-hoc from the driver lane out of the stats it reports.
   if (DCAPE_TRACE_ACTIVE(tracer_.get())) {

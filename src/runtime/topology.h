@@ -143,7 +143,6 @@ class Topology {
   /// merge observability).
   obs::Gauge* cleanup_peak_gauge_ = nullptr;
   obs::Gauge* cleanup_blocks_gauge_ = nullptr;
-  obs::Gauge* cleanup_stalls_gauge_ = nullptr;
   TimeSeries throughput_series_;
   std::vector<TimeSeries> memory_series_;
 };

@@ -11,8 +11,7 @@ bool FaultSpec::AnyEnabled() const {
   return delay_prob > 0 || duplicate_batch_prob > 0 || read_error_prob > 0 ||
          corrupt_read_prob > 0 || write_error_prob > 0 ||
          latch_write_prob > 0 || stall_prob > 0 ||
-         block_read_error_prob > 0 || block_corrupt_prob > 0 ||
-         block_stall_prob > 0;
+         block_read_error_prob > 0 || block_corrupt_prob > 0;
 }
 
 std::string FaultSpec::Describe() const {
@@ -30,7 +29,6 @@ std::string FaultSpec::Describe() const {
   if (stall_prob > 0) add("stall");
   if (block_read_error_prob > 0) add("block-read");
   if (block_corrupt_prob > 0) add("block-corrupt");
-  if (block_stall_prob > 0) add("block-stall");
   if (out.empty()) out = "none";
   return out;
 }
@@ -49,7 +47,6 @@ void FaultSpec::MergeMax(const FaultSpec& other) {
   block_read_error_prob =
       std::max(block_read_error_prob, other.block_read_error_prob);
   block_corrupt_prob = std::max(block_corrupt_prob, other.block_corrupt_prob);
-  block_stall_prob = std::max(block_stall_prob, other.block_stall_prob);
   block_faults_survive_heal =
       block_faults_survive_heal || other.block_faults_survive_heal;
 }
@@ -139,15 +136,13 @@ double MixUniform(uint64_t x) {
 
 }  // namespace
 
-FaultPlan::BlockFault FaultPlan::SampleBlockReadAttempt(EngineId engine,
-                                                        std::string_view name,
-                                                        int64_t offset,
-                                                        int attempt) const {
-  BlockFault out;
-  if (healed() && !spec_.block_faults_survive_heal) return out;
-  if (spec_.block_read_error_prob <= 0 && spec_.block_corrupt_prob <= 0 &&
-      spec_.block_stall_prob <= 0) {
-    return out;
+FaultPlan::DiskFault FaultPlan::SampleBlockReadAttempt(EngineId engine,
+                                                       std::string_view name,
+                                                       int64_t offset,
+                                                       int attempt) const {
+  if (healed() && !spec_.block_faults_survive_heal) return DiskFault::kNone;
+  if (spec_.block_read_error_prob <= 0 && spec_.block_corrupt_prob <= 0) {
+    return DiskFault::kNone;
   }
   uint64_t h = Mix64(seed_ ^ 0xB10CFA417ULL);
   for (const char c : name) {
@@ -158,16 +153,13 @@ FaultPlan::BlockFault FaultPlan::SampleBlockReadAttempt(EngineId engine,
   h = Mix64(h ^ static_cast<uint64_t>(attempt));
   if (spec_.block_read_error_prob > 0 &&
       MixUniform(Mix64(h + 1)) < spec_.block_read_error_prob) {
-    out.fault = DiskFault::kError;
-  } else if (spec_.block_corrupt_prob > 0 &&
-             MixUniform(Mix64(h + 2)) < spec_.block_corrupt_prob) {
-    out.fault = DiskFault::kCorrupt;
+    return DiskFault::kError;
   }
-  if (spec_.block_stall_prob > 0 &&
-      MixUniform(Mix64(h + 3)) < spec_.block_stall_prob) {
-    out.stall = true;
+  if (spec_.block_corrupt_prob > 0 &&
+      MixUniform(Mix64(h + 2)) < spec_.block_corrupt_prob) {
+    return DiskFault::kCorrupt;
   }
-  return out;
+  return DiskFault::kNone;
 }
 
 Tick FaultPlan::SampleStall(EngineId engine) {

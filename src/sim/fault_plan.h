@@ -48,18 +48,16 @@ struct FaultSpec {
   Tick max_stall_ticks = 0;
 
   /// Streaming-cleanup block reads (SpillStore::ReadSegmentRange):
-  /// per-attempt probabilities of a transient read error, a corrupted
-  /// (truncated) block, and an injected prefetch stall (~1 ms sleep
-  /// before the block lands). Unlike the other disk faults these are
-  /// sampled by a pure hash of (seed, engine, object, offset, attempt)
-  /// rather than a sequential RNG stream: block reads run concurrently
-  /// on worker lanes and the prefetch thread, so draw *order* is not
-  /// deterministic — but the draw per identity is. The fetcher's
-  /// bounded retry budget re-samples with a fresh attempt number, so
-  /// any transient fault clears deterministically.
+  /// per-attempt probabilities of a transient read error and a
+  /// corrupted (truncated) block. Unlike the other disk faults these
+  /// are sampled by a pure hash of (seed, engine, object, offset,
+  /// attempt) rather than a sequential RNG stream: block reads run
+  /// concurrently on the cleanup's worker lanes, so draw *order* is not
+  /// deterministic — but the draw per identity is. The reader's bounded
+  /// retry budget re-samples with a fresh attempt number, so any
+  /// transient fault clears deterministically.
   double block_read_error_prob = 0.0;
   double block_corrupt_prob = 0.0;
-  double block_stall_prob = 0.0;
   /// Keep the block faults active after Heal(). Block reads happen only
   /// during the cleanup phase, which the harness runs post-heal; the
   /// retry budget keeps them output-transparent, so the differential
@@ -112,24 +110,19 @@ class FaultPlan {
   /// True once engine's disk has latched broken (until Heal).
   bool write_latched(EngineId engine) const;
 
-  /// Outcome of one streaming-cleanup block read attempt.
-  struct BlockFault {
-    DiskFault fault = DiskFault::kNone;
-    /// Sleep ~1 ms before completing (prefetch-stall injection).
-    bool stall = false;
-  };
-  /// Pure hash of (seed, engine, name, offset, attempt) — thread-safe,
-  /// callable concurrently from any lane or the prefetch thread.
-  /// Honours Heal() unless spec.block_faults_survive_heal is set.
-  BlockFault SampleBlockReadAttempt(EngineId engine, std::string_view name,
-                                    int64_t offset, int attempt) const;
+  /// Outcome of one streaming-cleanup block read attempt: a pure hash
+  /// of (seed, engine, name, offset, attempt) — thread-safe, callable
+  /// concurrently from any cleanup lane. Honours Heal() unless
+  /// spec.block_faults_survive_heal is set.
+  DiskFault SampleBlockReadAttempt(EngineId engine, std::string_view name,
+                                   int64_t offset, int attempt) const;
 
   /// Stall duration for `engine` this tick (0 = none). Called once per
   /// engine per tick, in engine-id order.
   Tick SampleStall(EngineId engine);
 
   /// Disables every fault from now on. Thread-safe (the cleanup's
-  /// workers and prefetch thread read it through the block sampler).
+  /// worker lanes read it through the block sampler).
   void Heal() { healed_.store(true, std::memory_order_release); }
   bool healed() const { return healed_.load(std::memory_order_acquire); }
 

@@ -1,7 +1,5 @@
 #include "sim/faulty_backend.h"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -45,21 +43,15 @@ StatusOr<std::string> FaultyBackend::ReadRange(const std::string& name,
     MutexLock lock(block_mu_);
     attempt = block_attempts_[name + ":" + std::to_string(offset)]++;
   }
-  const FaultPlan::BlockFault fault =
+  const FaultPlan::DiskFault fault =
       plan_->SampleBlockReadAttempt(engine_, name, offset, attempt);
-  if (fault.stall) {
-    // Prefetch-stall injection: delay the block so the consumer's
-    // stall-wait path actually runs. Wall-clock only — virtual time and
-    // results are unaffected.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (fault.fault == FaultPlan::DiskFault::kError) {
+  if (fault == FaultPlan::DiskFault::kError) {
     return Status::Internal("injected block read failure on " + name);
   }
   DCAPE_ASSIGN_OR_RETURN(std::string data,
                          inner_->ReadRange(name, offset, len));
-  if (fault.fault == FaultPlan::DiskFault::kCorrupt) {
-    // A short block; the fetcher detects the length mismatch and
+  if (fault == FaultPlan::DiskFault::kCorrupt) {
+    // A short block; the reader detects the length mismatch and
     // retries with a fresh attempt number.
     data.resize(data.size() / 2);
   }

@@ -37,8 +37,8 @@ class FaultyBackend : public DiskBackend {
   /// Block-granular faults for the streaming cleanup: sampled by the
   /// plan's pure (name, offset, attempt) hash, with the attempt number
   /// tracked per (name, offset) under a mutex — unlike the whole-object
-  /// path, ranged reads are called concurrently from the prefetch
-  /// thread and worker lanes.
+  /// path, ranged reads are called concurrently from the cleanup's
+  /// worker lanes.
   StatusOr<std::string> ReadRange(const std::string& name, int64_t offset,
                                   int64_t len) override;
   Status Remove(const std::string& name) override;

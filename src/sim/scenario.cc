@@ -181,8 +181,8 @@ Scenario GenerateScenario(uint64_t seed) {
   }
 
   // Streaming-cleanup coverage: vary the block size the k-way merge
-  // prefetches in, and inject block-granular faults that persist through
-  // Heal() — the fetcher's retry budget must keep them
+  // reads in, and inject block-granular faults that persist through
+  // Heal() — the reader's retry budget must keep them
   // output-transparent.
   config.cleanup.block_bytes = static_cast<int64_t>(256)
                                << rng.Uniform(4);  // 256 B .. 2 KiB
@@ -191,7 +191,6 @@ Scenario GenerateScenario(uint64_t seed) {
   if (chance(0.3)) {
     faults.block_read_error_prob = pick_double(0.01, 0.08);
     faults.block_corrupt_prob = pick_double(0.01, 0.06);
-    faults.block_stall_prob = pick_double(0.01, 0.05);
     faults.block_faults_survive_heal = true;
   }
   flag("--faults=" + faults.Describe());

@@ -154,13 +154,30 @@ std::vector<std::string> FileDiskBackend::List() const {
   return names;
 }
 
+namespace {
+
+/// A FileDiskBackend on a directory made for it alone, which it removes
+/// with everything in it when destroyed.
+class TempFileDiskBackend : public FileDiskBackend {
+ public:
+  using FileDiskBackend::FileDiskBackend;
+  TempFileDiskBackend(const TempFileDiskBackend&) = delete;
+  TempFileDiskBackend& operator=(const TempFileDiskBackend&) = delete;
+  ~TempFileDiskBackend() override {
+    std::error_code ec;
+    fs::remove_all(dir(), ec);
+  }
+};
+
+}  // namespace
+
 std::unique_ptr<DiskBackend> MakeTempFileBackend(const std::string& prefix) {
   static int counter = 0;
   std::string dir = (fs::temp_directory_path() /
                      (prefix + "_" + std::to_string(counter++) + "_" +
                       std::to_string(::getpid())))
                         .string();
-  return std::make_unique<FileDiskBackend>(dir);
+  return std::make_unique<TempFileDiskBackend>(dir);
 }
 
 }  // namespace dcape

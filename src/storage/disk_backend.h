@@ -37,10 +37,10 @@ class DiskBackend {
   /// than `offset + len`.
   ///
   /// Thread-safety contract: ReadRange (and Read) must be safe to call
-  /// concurrently with other reads on the same backend — the streaming
-  /// cleanup prefetcher and the cleanup worker lanes issue overlapping
-  /// ranged reads with no external serialization (every write has
-  /// returned before cleanup starts).
+  /// concurrently with other reads on the same backend — the cleanup's
+  /// worker lanes each read their own partitions' blocks, with no
+  /// external serialization (every write has returned before cleanup
+  /// starts).
   [[nodiscard]] virtual StatusOr<std::string> ReadRange(
       const std::string& name, int64_t offset, int64_t len);
 };
@@ -85,7 +85,9 @@ class FileDiskBackend : public DiskBackend {
 };
 
 /// Creates a FileDiskBackend under a fresh unique temp directory, for
-/// examples and benchmarks.
+/// examples and benchmarks. The backend removes that directory, with
+/// everything in it, when it is destroyed; a FileDiskBackend built on a
+/// caller's own directory leaves it in place.
 std::unique_ptr<DiskBackend> MakeTempFileBackend(const std::string& prefix);
 
 }  // namespace dcape

@@ -101,10 +101,10 @@ class SpillStore {
       const SpillSegmentMeta& meta, Tick* io_ticks = nullptr) const;
 
   /// Reads `len` bytes of a segment starting at byte `offset`. The
-  /// streaming cleanup's block fetchers call this concurrently from
-  /// worker lanes and the prefetch executor; it charges no virtual ticks
-  /// (the cleanup cost model charges whole segments up front from
-  /// metadata) and touches no counters, so concurrent calls are safe.
+  /// streaming cleanup's block readers call this concurrently from its
+  /// worker lanes; it charges no virtual ticks (the cleanup cost model
+  /// charges whole segments up front from metadata) and touches no
+  /// counters, so concurrent calls are safe.
   [[nodiscard]] StatusOr<std::string> ReadSegmentRange(
       const SpillSegmentMeta& meta, int64_t offset, int64_t len) const;
 

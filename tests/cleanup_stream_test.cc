@@ -190,7 +190,7 @@ CleanupConfig ConfigForSeed(uint64_t seed) {
   Rng rng(seed ^ 0x11A22B33C44D55EULL);
   CleanupConfig config;
   config.collect_results = true;
-  // Tiny blocks so nearly every segment spans several prefetches.
+  // Tiny blocks so nearly every segment spans several block reads.
   config.block_bytes = 64 << rng.Uniform(4);  // 64..512 bytes
   if (rng.Bernoulli(0.3)) config.window_ticks = 100;
   if (rng.Bernoulli(0.3)) {
@@ -427,8 +427,6 @@ TEST(CleanupStreamDifferentialTest, RandomLayoutsMatchBruteForce) {
     EXPECT_EQ(stats->engine_ticks, expected.engine_ticks) << "seed=" << seed;
     EXPECT_EQ(stats->total_ticks, expected.total_ticks) << "seed=" << seed;
     // Streaming accounting stays internally consistent on every layout.
-    EXPECT_EQ(stats->blocks_prefetched, stats->blocks_completed)
-        << "seed=" << seed;
     EXPECT_EQ(stats->resident_bytes_leaked, 0) << "seed=" << seed;
     if (!expected.results.empty()) ++owing;
   }
@@ -447,7 +445,7 @@ TEST(CleanupStreamDifferentialTest, BitIdenticalAcrossThreads) {
       EXPECT_EQ(parallel->result_count, serial->result_count);
       EXPECT_EQ(parallel->total_ticks, serial->total_ticks);
       EXPECT_EQ(parallel->engine_ticks, serial->engine_ticks);
-      EXPECT_EQ(parallel->blocks_prefetched, serial->blocks_prefetched);
+      EXPECT_EQ(parallel->blocks_read, serial->blocks_read);
       ASSERT_EQ(parallel->results.size(), serial->results.size());
       // Exact order, not just multiset: the fixed-partition-order fold
       // must make the collected vector identical for any worker count.
@@ -487,19 +485,18 @@ TEST(CleanupStreamDifferentialTest, BlockSizeDoesNotChangeResults) {
     StatusOr<CleanupStats> stats =
         processor.Run(built.store_ptrs, built.state_ptrs);
     ASSERT_TRUE(stats.ok()) << "block_bytes=" << block_bytes;
-    EXPECT_EQ(stats->blocks_prefetched, stats->blocks_completed);
     EXPECT_EQ(stats->resident_bytes_leaked, 0);
     if (reference.empty()) {
       reference = SortedKeys(stats->results);
-      reference_blocks = stats->blocks_prefetched;
+      reference_blocks = stats->blocks_read;
       ASSERT_FALSE(reference.empty());
     } else {
       EXPECT_EQ(SortedKeys(stats->results), reference)
           << "block_bytes=" << block_bytes;
-      // Smaller blocks mean more prefetches for the same bytes.
-      EXPECT_LE(stats->blocks_prefetched, reference_blocks)
+      // Smaller blocks mean more block reads for the same bytes.
+      EXPECT_LE(stats->blocks_read, reference_blocks)
           << "block_bytes=" << block_bytes;
-      reference_blocks = stats->blocks_prefetched;
+      reference_blocks = stats->blocks_read;
     }
   }
 }
@@ -567,7 +564,7 @@ TEST(CleanupStreamDifferentialTest, SegmentWithoutSectionIndexFails) {
       << stats.status().ToString();
 }
 
-TEST(CleanupStreamDifferentialTest, SinkSeesEveryResultWithoutCollecting) {
+TEST(CleanupStreamDifferentialTest, CountsEveryResultWithoutCollecting) {
   const uint64_t seed = 9;
   StatusOr<CleanupStats> collected = RunSeed(seed);
   ASSERT_TRUE(collected.ok());
@@ -577,15 +574,12 @@ TEST(CleanupStreamDifferentialTest, SinkSeesEveryResultWithoutCollecting) {
   BuiltLayout built = Build(layout);
   CleanupConfig config = ConfigForSeed(seed);
   config.collect_results = false;
-  std::vector<JoinResult> sunk;
-  config.result_sink = [&sunk](const JoinResult& r) { sunk.push_back(r); };
   CleanupProcessor processor(config, layout.num_streams);
-  StatusOr<CleanupStats> streamed =
+  StatusOr<CleanupStats> counted =
       processor.Run(built.store_ptrs, built.state_ptrs);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_TRUE(streamed->results.empty());
-  EXPECT_EQ(streamed->result_count, collected->result_count);
-  EXPECT_EQ(SortedKeys(sunk), SortedKeys(collected->results));
+  ASSERT_TRUE(counted.ok());
+  EXPECT_TRUE(counted->results.empty());
+  EXPECT_EQ(counted->result_count, collected->result_count);
 }
 
 }  // namespace

@@ -4,7 +4,14 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "runtime/exec_pool.h"
 #include "state/partition_group.h"
 #include "storage/disk_backend.h"
@@ -274,6 +281,117 @@ TEST(CleanupTest, ExecPoolRunIsBitIdenticalToSerial) {
           << "workers=" << workers << " result " << i;
     }
   }
+}
+
+/// Forwards to an in-memory backend and records the calling thread and
+/// the range of every ranged read.
+class RecordingBackend : public DiskBackend {
+ public:
+  struct RangeRead {
+    std::thread::id thread;
+    std::string name;
+    int64_t offset = 0;
+    int64_t len = 0;
+  };
+
+  Status Write(const std::string& name, std::string_view data) override {
+    return inner_.Write(name, data);
+  }
+  StatusOr<std::string> Read(const std::string& name) override {
+    return inner_.Read(name);
+  }
+  Status Remove(const std::string& name) override {
+    return inner_.Remove(name);
+  }
+  std::vector<std::string> List() const override { return inner_.List(); }
+  StatusOr<std::string> ReadRange(const std::string& name, int64_t offset,
+                                  int64_t len) override {
+    {
+      MutexLock lock(mu_);
+      reads_.push_back({std::this_thread::get_id(), name, offset, len});
+    }
+    return inner_.ReadRange(name, offset, len);
+  }
+
+  std::vector<RangeRead> reads() const {
+    MutexLock lock(mu_);
+    return reads_;
+  }
+
+ private:
+  MemoryDiskBackend inner_;
+  mutable Mutex mu_;
+  std::vector<RangeRead> reads_ GUARDED_BY(mu_);
+};
+
+TEST(CleanupTest, SerialRunReadsEachBlockOnceOnTheCallingThread) {
+  // Every section spans several blocks. A serial run reads each block
+  // of every section the merge opens exactly once, on the thread that
+  // called Run.
+  constexpr int64_t kBlockBytes = 64;
+  auto backend = std::make_unique<RecordingBackend>();
+  RecordingBackend* recorder = backend.get();
+  SpillStore store(0, SpillStore::Config{}, std::move(backend));
+  StateManager state(2);
+  int64_t seq = 1;
+  for (PartitionId p = 0; p < 3; ++p) {
+    for (Tick spill_time : {10, 20}) {
+      std::vector<Tuple> tuples;
+      for (JoinKey k = 0; k < 8; ++k) {
+        for (StreamId s = 0; s < 2; ++s) {
+          tuples.push_back(MakeTuple(s, seq++, p * 1000 + k));
+          tuples.push_back(MakeTuple(s, seq++, p * 1000 + k));
+        }
+      }
+      ASSERT_TRUE(store
+                      .WriteSegment(p, spill_time + p,
+                                    GroupBlob(p, 2, tuples),
+                                    static_cast<int64_t>(tuples.size()))
+                      .ok());
+    }
+    state.ProcessTuple(p, MakeTuple(0, seq++, p * 1000), nullptr);
+  }
+  // One generation owes nothing: the merge never opens its sections.
+  const PartitionId lone = 7;
+  ASSERT_TRUE(store
+                  .WriteSegment(lone, 5,
+                                GroupBlob(lone, 2,
+                                          {MakeTuple(0, seq++, 7000),
+                                           MakeTuple(1, seq++, 7000)}),
+                                2)
+                  .ok());
+
+  int64_t expected_blocks = 0;
+  for (const SpillSegmentMeta& meta : store.segments()) {
+    if (meta.partition == lone) continue;
+    const std::vector<int64_t>& offsets = meta.sections.offsets;
+    ASSERT_EQ(offsets.size(), 3u);
+    for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+      const int64_t bytes = offsets[s + 1] - offsets[s];
+      ASSERT_GT(bytes, 2 * kBlockBytes);
+      expected_blocks += (bytes + kBlockBytes - 1) / kBlockBytes;
+    }
+  }
+  ASSERT_TRUE(recorder->reads().empty());
+
+  CleanupConfig config = TestConfig();
+  config.block_bytes = kBlockBytes;
+  CleanupProcessor processor(config, 2);
+  StatusOr<CleanupStats> stats = processor.Run({&store}, {&state});
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats->result_count, 0);
+
+  const std::vector<RecordingBackend::RangeRead> reads = recorder->reads();
+  std::set<std::pair<std::string, int64_t>> blocks;
+  for (const RecordingBackend::RangeRead& read : reads) {
+    EXPECT_EQ(read.thread, std::this_thread::get_id())
+        << read.name << " @" << read.offset;
+    EXPECT_LE(read.len, kBlockBytes);
+    blocks.insert({read.name, read.offset});
+  }
+  EXPECT_EQ(blocks.size(), reads.size()) << "a block was read twice";
+  EXPECT_EQ(static_cast<int64_t>(reads.size()), stats->blocks_read);
+  EXPECT_EQ(stats->blocks_read, expected_blocks);
 }
 
 TEST(CleanupTest, KeyMismatchAcrossGenerationsYieldsNothing) {

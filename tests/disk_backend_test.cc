@@ -149,5 +149,16 @@ TEST(MakeTempFileBackendTest, DistinctDirectories) {
   EXPECT_EQ(b->Read("same_name").value(), "B");
 }
 
+TEST(MakeTempFileBackendTest, RemovesItsDirectoryWhenDestroyed) {
+  auto backend = MakeTempFileBackend("dcape_temp_cleanup");
+  // MakeTempFileBackend returns a FileDiskBackend.
+  const std::string dir =
+      static_cast<const FileDiskBackend*>(backend.get())->dir();
+  ASSERT_TRUE(backend->Write("seg", "data").ok());
+  ASSERT_TRUE(std::filesystem::exists(dir));
+  backend.reset();
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 }  // namespace
 }  // namespace dcape

@@ -284,7 +284,6 @@ TEST(ExperimentFlagsTest, RealtimeRejectsSimulatorOnlyFlagsByName) {
   // Each conflicting flag is simulator-only; the error must name it so
   // the fix is obvious.
   const std::vector<std::vector<std::string>> cases = {
-      {"--realtime", "--threads=2"},
       {"--realtime", "--duration-min=5"},
       {"--realtime", "--window-sec=60"},
       {"--realtime", "--trace-out=/tmp/t.json"},
@@ -325,14 +324,16 @@ TEST(ExperimentFlagsTest, RealtimeValueRanges) {
 }
 
 TEST(ExperimentFlagsTest, RealtimeAllowsSharedFlags) {
-  // The whole adaptation / workload surface stays available.
+  // The whole adaptation / workload surface stays available, and
+  // --threads sizes the cleanup pool under both drivers.
   StatusOr<ExperimentOptions> options =
       Parse({"--realtime", "--strategy=lazy-disk", "--engines=4",
              "--streams=3", "--fluctuation", "--csv=/tmp/x.csv",
-             "--trace", "--file-backend"});
+             "--trace", "--file-backend", "--threads=2"});
   ASSERT_TRUE(options.ok()) << options.status().message();
   EXPECT_TRUE(options->realtime);
   EXPECT_EQ(options->cluster.num_engines, 4);
+  EXPECT_EQ(options->cluster.num_threads, 2);
 }
 
 }  // namespace

@@ -170,7 +170,7 @@ TEST(RealtimeOracleTest, RunResultMatchesRegistry) {
   // Cleanup must have read spilled segments, or the gauges stay zero on
   // both sides.
   ASSERT_GT(result.cleanup.segments_read, 0);
-  ASSERT_GT(result.cleanup.blocks_prefetched, 0);
+  ASSERT_GT(result.cleanup.blocks_read, 0);
   testing::ExpectStorageAndCleanupMatchRegistry(result, driver.metrics());
   testing::ExpectStateMemoryMatchesRegistry(result, driver.metrics());
 }

@@ -108,10 +108,8 @@ inline void ExpectStorageAndCleanupMatchRegistry(
 
   EXPECT_EQ(result.cleanup.peak_resident_bytes,
             registry.Value(obs::m::kCleanupPeakResidentBytes));
-  EXPECT_EQ(result.cleanup.blocks_prefetched,
-            registry.Value(obs::m::kCleanupBlocksPrefetched));
-  EXPECT_EQ(result.cleanup.prefetch_stalls,
-            registry.Value(obs::m::kCleanupPrefetchStallTicks));
+  EXPECT_EQ(result.cleanup.blocks_read,
+            registry.Value(obs::m::kCleanupBlocksRead));
 }
 
 /// The engines' join-state memory peaks in RunResult must read what the

@@ -38,9 +38,9 @@ usage: dcape_chaos [--key=value ...]
                   duplicate-batch (protocol violation the
                   harness must flag)
   --scenario=S    overlay a fault emphasis on every trial:
-                  cleanup-stream (block-granular read faults,
-                  truncated blocks, and prefetch stalls during
-                  the streaming cleanup, persisting past heal)
+                  cleanup-stream (block-granular read faults
+                  and truncated blocks during the streaming
+                  cleanup, persisting past heal)
   --no-shrink     report failures without shrinking the fault mix
   --verbose       per-trial progress lines
 
@@ -105,7 +105,6 @@ int Run(const std::vector<std::string>& args) {
         // whatever its seed drew; the retry budget must absorb them.
         options.extra_faults.block_read_error_prob = 0.08;
         options.extra_faults.block_corrupt_prob = 0.06;
-        options.extra_faults.block_stall_prob = 0.05;
         options.extra_faults.block_faults_survive_heal = true;
       } else {
         std::cerr << "unknown --scenario '" << value
