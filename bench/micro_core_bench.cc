@@ -299,27 +299,30 @@ BENCHMARK(BM_ClusterTickTraced)->Unit(benchmark::kMillisecond);
 
 /// The cleanup phase end-to-end: read every spilled generation back,
 /// coalesce, and expand cross-generation combos, with the ExecPool
-/// width as the benchmark argument. items/s is cleanup results per
-/// wall second.
+/// width and the spilled generations per partition as the benchmark
+/// arguments. Generation g holds 40 keys per stream, [20g, 20g + 40), so
+/// most keys live in two consecutive generations and the rest in one;
+/// a merge whose per-key cost grows with the generation count shows at
+/// 32. items/s is cleanup results per wall second.
 void BM_CleanupPhase(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
+  const int generations = static_cast<int>(state.range(1));
   constexpr int kPartitions = 32;
-  constexpr int kGenerations = 3;
-  constexpr int kTuplesPerGen = 40;  // per stream
+  constexpr int kKeysPerGen = 40;  // one tuple per key and stream
   auto build_store = [] {
     return std::make_unique<SpillStore>(0, SpillStore::Config{},
                                         std::make_unique<MemoryDiskBackend>());
   };
   auto fill = [&](SpillStore* store, StateManager* manager) {
     for (int p = 0; p < kPartitions; ++p) {
-      for (int g = 0; g < kGenerations; ++g) {
+      const JoinKey base =
+          static_cast<JoinKey>(p) * StreamGenerator::kKeyStride;
+      for (int g = 0; g < generations; ++g) {
         PartitionGroup group(p, 3);
-        for (int i = 0; i < kTuplesPerGen; ++i) {
+        for (int i = 0; i < kKeysPerGen; ++i) {
           for (StreamId s = 0; s < 3; ++s) {
-            group.InsertOnly(MakeTuple(
-                s, (g * kTuplesPerGen + i),
-                static_cast<JoinKey>(p) * StreamGenerator::kKeyStride + i % 8,
-                64));
+            group.InsertOnly(MakeTuple(s, g * kKeysPerGen + i,
+                                       base + g * kKeysPerGen / 2 + i, 64));
           }
         }
         std::string blob;
@@ -329,12 +332,7 @@ void BM_CleanupPhase(benchmark::State& state) {
       }
       // A small in-memory remainder per partition.
       for (StreamId s = 0; s < 3; ++s) {
-        manager->ProcessTuple(
-            p,
-            MakeTuple(s, 100000 + p,
-                      static_cast<JoinKey>(p) * StreamGenerator::kKeyStride,
-                      64),
-            nullptr);
+        manager->ProcessTuple(p, MakeTuple(s, 100000 + p, base, 64), nullptr);
       }
     }
   };
@@ -357,7 +355,10 @@ void BM_CleanupPhase(benchmark::State& state) {
   }
   state.SetItemsProcessed(results);
 }
-BENCHMARK(BM_CleanupPhase)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_CleanupPhase)
+    ->ArgNames({"workers", "generations"})
+    ->ArgsProduct({{1, 2, 4, 8}, {3, 32}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_StateManagerProcess(benchmark::State& state) {

@@ -106,10 +106,14 @@ StatusOr<int64_t> BlockedReader::GetI64() {
 }
 
 StatusOr<uint64_t> BlockedReader::GetVarint() {
+  // A varint is at most 10 bytes. With that many buffered the decode
+  // reads straight from the window; near the end of a block it makes
+  // each byte available through Ensure.
+  const bool buffered = window_.size() - pos_ >= 10;
   uint64_t v = 0;
   int shift = 0;
   while (true) {
-    DCAPE_RETURN_IF_ERROR(Ensure(1));
+    if (!buffered) DCAPE_RETURN_IF_ERROR(Ensure(1));
     const uint8_t byte = static_cast<uint8_t>(window_[pos_++]);
     if (shift == 63 && (byte & 0xFE) != 0) {
       return Status::InvalidArgument("varint overflows 64 bits");
@@ -154,7 +158,11 @@ StatusOr<bool> V2SectionCursor::Advance() {
     header_read_ = true;
   }
   if (keys_done_ == num_keys_) return false;
-  DCAPE_ASSIGN_OR_RETURN(key_, reader_->GetZigzag());
+  DCAPE_ASSIGN_OR_RETURN(const JoinKey key, reader_->GetZigzag());
+  if (keys_done_ > 0 && key <= key_) {
+    return Status::InvalidArgument("v2 section keys out of order");
+  }
+  key_ = key;
   DCAPE_ASSIGN_OR_RETURN(uint64_t run_length, reader_->GetVarint());
   members_.reserve(static_cast<size_t>(std::min<uint64_t>(run_length, 4096)));
   int64_t prev_seq = 0;
@@ -214,6 +222,10 @@ StatusOr<bool> V1SectionCursor::Advance() {
     }
   }
   if (!has_pending_) return false;
+  if (has_run_ && pending_key_ <= key_) {
+    return Status::InvalidArgument("v1 section keys out of order");
+  }
+  has_run_ = true;
   key_ = pending_key_;
   members_.push_back(pending_member_);
   has_pending_ = false;

@@ -121,11 +121,14 @@ class BlockedReader {
   size_t pos_ = 0;
 };
 
-/// A cursor yielding one (key, member list) run at a time in ascending
-/// key order — the unit the per-partition k-way cleanup merge advances.
-/// Usage: repeated Advance(); after an Advance that returns true,
-/// key()/members() hold the current run. The members vector charges the
-/// MemoryTracker while current and is released on the next Advance.
+/// A cursor yielding one (key, member list) run at a time in strictly
+/// ascending key order — the unit the per-partition k-way cleanup merge
+/// advances. Usage: repeated Advance(); after an Advance that returns
+/// true, key()/members() hold the current run. The members vector
+/// charges the MemoryTracker while current and is released on the next
+/// Advance. The section cursors fail with InvalidArgument on a run whose
+/// key does not exceed the previous run's (a corrupt segment), which the
+/// merge would otherwise turn into silently wrong results.
 class KeyRunCursor {
  public:
   explicit KeyRunCursor(MemoryTracker* tracker) : tracker_(tracker) {}
@@ -195,6 +198,8 @@ class V1SectionCursor : public KeyRunCursor {
   const StreamId stream_;
   int64_t tuples_left_ = -1;  // -1: header not read yet
   bool has_pending_ = false;
+  /// key_ holds an earlier run's key, which the next run must exceed.
+  bool has_run_ = false;
   JoinKey pending_key_ = 0;
   MemberRef pending_member_;
 };

@@ -1,6 +1,7 @@
 #include "cleanup/cleanup.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
 #include <memory>
@@ -84,11 +85,28 @@ struct PartitionWork {
 /// A source with its per-stream cursors opened.
 struct OpenSource {
   std::vector<std::unique_ptr<KeyRunCursor>> cursors;  // one per stream
-  std::vector<bool> active;  // cursor currently holds a key run
   /// Units count 0..U-1 in sorted order; fragments carry the index of
   /// the next unit after them instead (== U when none).
   bool is_unit = false;
   size_t unit_index = 0;
+};
+
+/// A cursor that holds a key run, as the merge heap orders it.
+struct LiveCursor {
+  JoinKey key = 0;
+  uint32_t source = 0;  // index into the partition's sorted sources
+  uint32_t stream = 0;
+};
+
+/// std::*_heap build max-heaps; invert so the smallest (key, source,
+/// stream) is on top: a key's runs pop in the order of the sorted
+/// sources, stream by stream.
+struct LaterCursor {
+  bool operator()(const LiveCursor& a, const LiveCursor& b) const {
+    if (a.key != b.key) return a.key > b.key;
+    if (a.source != b.source) return a.source > b.source;
+    return a.stream > b.stream;
+  }
 };
 
 /// Opens the per-stream cursors of one source: blockwise section cursors
@@ -98,7 +116,6 @@ void OpenCursors(const CleanupConfig& config, int num_streams,
                  const GenerationSource& src, MemoryTracker* tracker,
                  BlockIoStats* io_stats, OpenSource* open) {
   open->cursors.resize(static_cast<size_t>(num_streams));
-  open->active.assign(static_cast<size_t>(num_streams), false);
   for (int s = 0; s < num_streams; ++s) {
     std::unique_ptr<KeyRunCursor>& cursor =
         open->cursors[static_cast<size_t>(s)];
@@ -127,11 +144,13 @@ void OpenCursors(const CleanupConfig& config, int num_streams,
 /// Tasks (2)+(3) of §3 for one partition: order its generations, route
 /// eviction fragments, pick the cleanup home, and emit the
 /// cross-generation results Π(C∪Δ)−Π(C)−Π(Δ). Evaluated key-by-key over
-/// a k-way merge of the generations' cursors, so resident memory stays
-/// O(one block per cursor + current key); results come out in ascending
-/// (key, generation, mask) order. Partitions share only the atomic
-/// tracker and I/O counters, which is what makes the parallel dispatch
-/// race-free.
+/// a heap-ordered k-way merge of the generations' cursors, so resident
+/// memory stays O(one block per cursor + current key) and a key costs
+/// O(its runs × log cursors) plus the subset expansion over the
+/// generations that hold it; nothing per key allocates. Results come out
+/// in ascending (key, generation, mask) order. Partitions share only the
+/// atomic tracker and I/O counters, which is what makes the parallel
+/// dispatch race-free.
 PartitionOutcome ProcessPartition(const CleanupConfig& config,
                                   int num_streams, const PartitionWork& work,
                                   MemoryTracker* tracker,
@@ -176,57 +195,64 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
 
   // Effective member lists of the current key, per generation (units
   // then trailing) per stream, and the per-key cumulative C tables.
-  // Allocated once; inner vectors are cleared per key.
+  // Allocated once; a key clears only the lists it filled.
   std::vector<std::vector<std::vector<MemberRef>>> gen_lists(
       num_units + 1, std::vector<std::vector<MemberRef>>(m));
   std::vector<std::vector<MemberRef>> cum(m);
+  // The cursors holding a run; the current key's runs, popped in
+  // (source, stream) order; and the units that hold the key, ascending
+  // (the trailing unit last, when a fragment run lands there). All
+  // reused across keys.
+  std::vector<LiveCursor> heap;
+  std::vector<LiveCursor> runs;
+  std::vector<size_t> key_units;
+  heap.reserve(opened.size() * m);
+  runs.reserve(opened.size() * m);
+  key_units.reserve(num_units + 1);
+  std::array<const std::vector<MemberRef>*, kMaxStreams> lists{};
+  std::array<size_t, kMaxStreams> odometer{};
 
   Status merge_status = [&]() -> Status {
-    for (OpenSource& open : opened) {
-      const size_t i = static_cast<size_t>(&open - opened.data());
+    for (size_t i = 0; i < opened.size(); ++i) {
+      OpenSource& open = opened[i];
       OpenCursors(config, num_streams, *sources[i], tracker, io_stats, &open);
       for (size_t s = 0; s < m; ++s) {
         DCAPE_ASSIGN_OR_RETURN(bool more, open.cursors[s]->Advance());
-        open.active[s] = more;
-      }
-    }
-
-    while (true) {
-      // Minimum key over all active cursors.
-      bool any = false;
-      JoinKey key = 0;
-      for (const OpenSource& open : opened) {
-        for (size_t s = 0; s < m; ++s) {
-          if (!open.active[s]) continue;
-          const JoinKey k = open.cursors[s]->key();
-          if (!any || k < key) {
-            any = true;
-            key = k;
-          }
+        if (more) {
+          heap.push_back({open.cursors[s]->key(), static_cast<uint32_t>(i),
+                          static_cast<uint32_t>(s)});
         }
       }
-      if (!any) break;
+    }
+    std::make_heap(heap.begin(), heap.end(), LaterCursor{});
 
-      for (auto& per_stream : gen_lists) {
-        for (auto& list : per_stream) list.clear();
+    while (!heap.empty()) {
+      // Pop exactly the runs at the minimum key.
+      const JoinKey key = heap.front().key;
+      runs.clear();
+      while (!heap.empty() && heap.front().key == key) {
+        std::pop_heap(heap.begin(), heap.end(), LaterCursor{});
+        runs.push_back(heap.back());
+        heap.pop_back();
       }
-      for (auto& list : cum) list.clear();
 
       // Gather the units' own runs at this key. A unit "contains" the
       // key iff one of its cursors is at it; fragment routing below
       // tests containment against these original runs only (a fragment
       // only ever lands in a unit that already holds the key, so
-      // routing never grows a unit's key set).
-      std::vector<bool> unit_has_key(num_units, false);
-      for (const OpenSource& open : opened) {
+      // routing never grows a unit's key set). Units pop in order, so
+      // key_units ascends.
+      key_units.clear();
+      for (const LiveCursor& run : runs) {
+        const OpenSource& open = opened[run.source];
         if (!open.is_unit) continue;
-        for (size_t s = 0; s < m; ++s) {
-          if (!open.active[s] || open.cursors[s]->key() != key) continue;
-          unit_has_key[open.unit_index] = true;
-          const std::vector<MemberRef>& members = open.cursors[s]->members();
-          gen_lists[open.unit_index][s] = members;
-          charge(static_cast<int64_t>(members.size()));
+        if (key_units.empty() || key_units.back() != open.unit_index) {
+          key_units.push_back(open.unit_index);
         }
+        const std::vector<MemberRef>& members =
+            open.cursors[run.stream]->members();
+        gen_lists[open.unit_index][run.stream] = members;
+        charge(static_cast<int64_t>(members.size()));
       }
       // Route fragment runs per key. A partial (bucket-granular) spill
       // carries only the cold keys while a fragment tuple's runtime
@@ -238,34 +264,35 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
       // that never coexisted in memory are separated by more than the
       // window and excluded by the span check either way. Fragments
       // append in sorted order, after the unit's own members.
-      for (const OpenSource& open : opened) {
+      bool key_trails = false;
+      for (const LiveCursor& run : runs) {
+        const OpenSource& open = opened[run.source];
         if (open.is_unit) continue;
-        for (size_t s = 0; s < m; ++s) {
-          if (!open.active[s] || open.cursors[s]->key() != key) continue;
-          size_t target = num_units;  // trailing
-          for (size_t u = open.unit_index; u < num_units; ++u) {
-            if (unit_has_key[u]) {
-              target = u;
-              break;
-            }
-          }
-          if (target == num_units) has_trailing = true;
-          const std::vector<MemberRef>& members = open.cursors[s]->members();
-          std::vector<MemberRef>& bucket = gen_lists[target][s];
-          bucket.insert(bucket.end(), members.begin(), members.end());
-          charge(static_cast<int64_t>(members.size()));
-        }
+        const auto next = std::lower_bound(key_units.begin(), key_units.end(),
+                                           open.unit_index);
+        const size_t target = next == key_units.end() ? num_units : *next;
+        if (target == num_units) key_trails = true;
+        const std::vector<MemberRef>& members =
+            open.cursors[run.stream]->members();
+        std::vector<MemberRef>& bucket = gen_lists[target][run.stream];
+        bucket.insert(bucket.end(), members.begin(), members.end());
+        charge(static_cast<int64_t>(members.size()));
+      }
+      if (key_trails) {
+        has_trailing = true;
+        key_units.push_back(num_units);
       }
 
       // Per-key incremental expansion over the generation sequence
       // (units in order, conceptual trailing last): for each Δ, emit
-      // every mask with at least one Δ-side and one C-side stream.
+      // every mask with at least one Δ-side and one C-side stream. Only
+      // the generations holding the key take part: any other has an
+      // empty Δ side, and the first one has no C side yet.
       const uint32_t full = (1u << num_streams) - 1;
-      for (size_t g = 0; g < gen_lists.size(); ++g) {
-        const std::vector<std::vector<MemberRef>>& delta = gen_lists[g];
+      for (size_t g = 0; g < key_units.size(); ++g) {
+        std::vector<std::vector<MemberRef>>& delta = gen_lists[key_units[g]];
         if (g > 0) {
           for (uint32_t mask = 1; mask < full; ++mask) {
-            std::vector<const std::vector<MemberRef>*> lists(m, nullptr);
             bool all_present = true;
             for (size_t s = 0; s < m && all_present; ++s) {
               const std::vector<MemberRef>& source =
@@ -278,7 +305,7 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
             }
             if (!all_present) continue;
 
-            std::vector<size_t> cursor(m, 0);
+            std::fill_n(odometer.begin(), m, 0);
             JoinResult result;
             result.partition = work.partition;
             result.join_key = key;
@@ -291,7 +318,7 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
               bool first_ts = true;
               for (int s = 0; s < num_streams; ++s) {
                 const MemberRef& member =
-                    (*lists[static_cast<size_t>(s)])[cursor[
+                    (*lists[static_cast<size_t>(s)])[odometer[
                         static_cast<size_t>(s)]];
                 result.member_seqs[static_cast<size_t>(s)] = member.seq;
                 if (first_ts) {
@@ -320,7 +347,7 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
 
               int s = num_streams - 1;
               for (; s >= 0; --s) {
-                size_t& c = cursor[static_cast<size_t>(s)];
+                size_t& c = odometer[static_cast<size_t>(s)];
                 if (++c < lists[static_cast<size_t>(s)]->size()) break;
                 c = 0;
               }
@@ -328,13 +355,15 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
             }
           }
         }
-        // Merge Δ into this key's C.
+        // Merge Δ into this key's C; Δ is done with.
         for (size_t s = 0; s < m; ++s) {
           if (delta[s].empty()) continue;
           cum[s].insert(cum[s].end(), delta[s].begin(), delta[s].end());
           charge(static_cast<int64_t>(delta[s].size()));
+          delta[s].clear();
         }
       }
+      for (auto& list : cum) list.clear();
 
       // Release this key's merged lists before touching the cursors:
       // Advance below may fail, and the early return must leave the
@@ -342,12 +371,14 @@ PartitionOutcome ProcessPartition(const CleanupConfig& config,
       tracker->Add(-key_charged);
       key_charged = 0;
 
-      for (OpenSource& open : opened) {
-        for (size_t s = 0; s < m; ++s) {
-          if (!open.active[s] || open.cursors[s]->key() != key) continue;
-          DCAPE_ASSIGN_OR_RETURN(bool more, open.cursors[s]->Advance());
-          open.active[s] = more;
-        }
+      // Advance only the cursors that were at the key, in the order they
+      // popped, so the first failing Advance is the error returned.
+      for (const LiveCursor& run : runs) {
+        KeyRunCursor& cursor = *opened[run.source].cursors[run.stream];
+        DCAPE_ASSIGN_OR_RETURN(bool more, cursor.Advance());
+        if (!more) continue;
+        heap.push_back({cursor.key(), run.source, run.stream});
+        std::push_heap(heap.begin(), heap.end(), LaterCursor{});
       }
     }
     return Status::OK();

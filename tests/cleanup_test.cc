@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <string_view>
@@ -10,13 +13,21 @@
 #include <utility>
 #include <vector>
 
+#include "cleanup/block_reader.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "runtime/exec_pool.h"
 #include "state/partition_group.h"
 #include "storage/disk_backend.h"
+#include "tuple/serde.h"
 
 namespace dcape {
+
+// Set by the allocation test; read by the operator new at the end of
+// this file. Not atomic: the test runs the cleanup serially.
+bool g_count_allocations = false;
+int64_t g_allocations = 0;
+
 namespace {
 
 Tuple MakeTuple(StreamId stream, int64_t seq, JoinKey key) {
@@ -407,5 +418,189 @@ TEST(CleanupTest, KeyMismatchAcrossGenerationsYieldsNothing) {
   EXPECT_EQ(stats->result_count, 0);
 }
 
+TEST(CleanupTest, MergeAllocatesPerCursorNotPerKey) {
+  // One partition, 16 spilled generations of 100 keys over 3 streams.
+  // Generation g holds keys [50g, 50g + 100), so every key but the 50 at
+  // either end lives in two consecutive generations. The merge's
+  // allocations are bounded per opened cursor and block read: a merge
+  // that allocated per key, or per key and generation, would make tens
+  // of thousands here.
+  constexpr int kGenerations = 16;
+  constexpr int kKeysPerGeneration = 100;
+  constexpr int kStreams = 3;
+  auto store = MakeStore(0);
+  int64_t seq = 1;
+  for (int g = 0; g < kGenerations; ++g) {
+    std::vector<Tuple> tuples;
+    for (JoinKey k = 50 * g; k < 50 * g + kKeysPerGeneration; ++k) {
+      for (StreamId s = 0; s < kStreams; ++s) {
+        tuples.push_back(MakeTuple(s, seq++, k));
+      }
+    }
+    ASSERT_TRUE(store
+                    ->WriteSegment(0, 10 * (g + 1),
+                                   GroupBlob(0, kStreams, tuples),
+                                   static_cast<int64_t>(tuples.size()))
+                    .ok());
+  }
+  CleanupConfig config = TestConfig();
+  config.collect_results = false;
+  CleanupProcessor processor(config, kStreams);
+
+  const int64_t before = g_allocations;
+  g_count_allocations = true;
+  StatusOr<CleanupStats> stats = processor.Run({store.get()}, {});
+  g_count_allocations = false;
+  const int64_t allocations = g_allocations - before;
+  ASSERT_TRUE(stats.ok());
+
+  // 750 keys in two generations with one member per (generation,
+  // stream): each owes the 2^3 - 2 ways to take its streams from both.
+  EXPECT_EQ(stats->result_count, 750 * 6);
+  const int64_t cursors = kGenerations * kStreams;
+  EXPECT_EQ(stats->blocks_read, cursors);  // every section fits a block
+  EXPECT_LT(allocations, 16 * cursors)
+      << "the merge allocated per key: " << allocations << " allocations";
+}
+
+/// A BlockedReader over all of `bytes`, read in `block_bytes` blocks.
+std::unique_ptr<BlockedReader> ReaderOver(const std::string& bytes,
+                                          int64_t block_bytes,
+                                          MemoryTracker* tracker,
+                                          BlockIoStats* io) {
+  return std::make_unique<BlockedReader>(
+      [bytes](int64_t offset, int64_t len) -> StatusOr<std::string> {
+        return bytes.substr(static_cast<size_t>(offset),
+                            static_cast<size_t>(len));
+      },
+      0, static_cast<int64_t>(bytes.size()), block_bytes, tracker, io);
+}
+
+TEST(SectionCursorTest, V2RunKeysMustAscend) {
+  // A hand-encoded v2 section of two one-member runs, key 5, then key 3.
+  std::string section;
+  ByteWriter writer(&section);
+  writer.PutVarint(2);  // runs
+  for (JoinKey key : {5, 3}) {
+    writer.PutZigzag(key);
+    writer.PutVarint(1);  // members in the run
+    writer.PutZigzag(7);  // seq delta
+    writer.PutZigzag(0);  // timestamp delta
+    writer.PutZigzag(0);  // value
+    writer.PutZigzag(0);  // category
+    writer.PutVarint(0);  // payload bytes
+  }
+  MemoryTracker tracker;
+  BlockIoStats io;
+  {
+    V2SectionCursor cursor(ReaderOver(section, 4, &tracker, &io), &tracker);
+    StatusOr<bool> first = cursor.Advance();
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_TRUE(*first);
+    EXPECT_EQ(cursor.key(), 5);
+    StatusOr<bool> second = cursor.Advance();
+    ASSERT_FALSE(second.ok()) << "key 3 after key 5 was accepted";
+    EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(tracker.current(), 0);
+}
+
+TEST(SectionCursorTest, V1RunKeysMustAscend) {
+  // A hand-encoded v1 section: a run of key 5 (two tuples), then key 3.
+  std::string section;
+  ByteWriter writer(&section);
+  writer.PutI64(3);  // tuples
+  for (JoinKey key : {5, 5, 3}) {
+    writer.PutI32(1);  // stream
+    writer.PutI64(7);  // seq
+    writer.PutI64(key);
+    writer.PutI64(0);  // timestamp
+    writer.PutI64(0);  // value
+    writer.PutI64(0);  // category
+    writer.PutString("pl");
+  }
+  MemoryTracker tracker;
+  BlockIoStats io;
+  {
+    V1SectionCursor cursor(ReaderOver(section, 16, &tracker, &io), 1,
+                           &tracker);
+    StatusOr<bool> first = cursor.Advance();
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_TRUE(*first);
+    EXPECT_EQ(cursor.key(), 5);
+    EXPECT_EQ(cursor.members().size(), 2u);
+    StatusOr<bool> second = cursor.Advance();
+    ASSERT_FALSE(second.ok()) << "key 3 after key 5 was accepted";
+    EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(tracker.current(), 0);
+}
+
+TEST(BlockedReaderTest, VarintsDecodeAtEveryBlockSize) {
+  // Varints of every length, read with blocks small enough that most
+  // straddle a block end and large enough that all are buffered.
+  const std::vector<uint64_t> values = {
+      0, 1, 127, 128, 300, 16383, 16384, uint64_t{1} << 35,
+      uint64_t{1} << 56, uint64_t{1} << 63, ~uint64_t{0}, 5};
+  std::string bytes;
+  ByteWriter writer(&bytes);
+  for (uint64_t v : values) writer.PutVarint(v);
+  writer.PutZigzag(-3);
+  for (int64_t block_bytes : {1, 3, 7, 10, 11, 64}) {
+    MemoryTracker tracker;
+    BlockIoStats io;
+    std::unique_ptr<BlockedReader> reader =
+        ReaderOver(bytes, block_bytes, &tracker, &io);
+    for (uint64_t v : values) {
+      StatusOr<uint64_t> got = reader->GetVarint();
+      ASSERT_TRUE(got.ok()) << "block " << block_bytes << ": "
+                            << got.status();
+      EXPECT_EQ(*got, v) << "block " << block_bytes;
+    }
+    StatusOr<int64_t> zigzag = reader->GetZigzag();
+    ASSERT_TRUE(zigzag.ok()) << zigzag.status();
+    EXPECT_EQ(*zigzag, -3);
+    EXPECT_FALSE(reader->GetVarint().ok()) << "read past the end";
+  }
+}
+
+TEST(BlockedReaderTest, VarintOverflowFailsBufferedOrNot) {
+  // Ten bytes whose last sets bit 64: the same error whether the decode
+  // reads the window directly (64-byte blocks, padding after it) or one
+  // byte at a time (1-byte blocks).
+  std::string bytes(9, static_cast<char>(0xFF));
+  bytes.push_back(0x02);
+  bytes.append(16, '\0');
+  for (int64_t block_bytes : {1, 64}) {
+    MemoryTracker tracker;
+    BlockIoStats io;
+    std::unique_ptr<BlockedReader> reader =
+        ReaderOver(bytes, block_bytes, &tracker, &io);
+    StatusOr<uint64_t> got = reader->GetVarint();
+    ASSERT_FALSE(got.ok()) << "block " << block_bytes;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(), "varint overflows 64 bits");
+  }
+}
+
 }  // namespace
 }  // namespace dcape
+
+// Counts heap allocations while g_count_allocations is set (the
+// allocation test above); otherwise the default behaviour. GCC reads
+// free() on memory from operator new as a mismatch, but these
+// replacements pair malloc with free on purpose.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(size_t size) {
+  if (dcape::g_count_allocations) ++dcape::g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
