@@ -208,9 +208,18 @@ void BM_VictimSelection(benchmark::State& state) {
     stats.push_back(g);
   }
   const int64_t target = groups * 300;
+  // PlanSpill's snapshot path: rank the stats, then plan against live
+  // group sizes (here the snapshot's own).
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectSpillVictims(
-        stats, SpillPolicy::kLeastProductiveFirst, target, nullptr));
+    std::vector<GroupStats> ranked_stats =
+        RankForSpill(stats, SpillPolicy::kLeastProductiveFirst, nullptr);
+    std::vector<PartitionId> ranked;
+    ranked.reserve(ranked_stats.size());
+    for (const GroupStats& g : ranked_stats) ranked.push_back(g.partition);
+    benchmark::DoNotOptimize(
+        BuildSpillPlan(ranked, target, [&stats](PartitionId p) {
+          return stats[static_cast<size_t>(p)].bytes;
+        }));
   }
   state.SetItemsProcessed(state.iterations() * groups);
 }
@@ -226,7 +235,7 @@ void BM_NetworkSendDeliver(benchmark::State& state) {
   Tick now = 0;
   for (auto _ : state) {
     net.Send(MakeStatsReportMessage(0, 1, report), now);
-    net.DeliverUntil(now + 2);
+    net.DeliverWaves(now + 2);
     ++now;
   }
   benchmark::DoNotOptimize(delivered);

@@ -23,23 +23,6 @@ void LocalController::RollProductivityWindow(const StateManager& state) {
   scores_ready_ = true;
 }
 
-std::vector<PartitionId> LocalController::CheckSpill(Tick now,
-                                                     const StateManager& state) {
-  if (!ss_timer_.Expired(now)) return {};
-  if (state.total_bytes() <= config_.memory_threshold_bytes) return {};
-  const int64_t target = static_cast<int64_t>(
-      config_.spill_fraction * static_cast<double>(state.total_bytes()));
-  return SelectSpillVictims(RefinedStats(state), config_.policy, target,
-                            &rng_);
-}
-
-std::vector<PartitionId> LocalController::ChooseForcedSpillVictims(
-    const StateManager& state, int64_t amount_bytes) {
-  return SelectSpillVictims(RefinedStats(state),
-                            SpillPolicy::kLeastProductiveFirst, amount_bytes,
-                            &rng_);
-}
-
 std::vector<PartitionId> LocalController::ChoosePartitionsToMove(
     const StateManager& state, int64_t amount_bytes) {
   return SelectRelocationCandidates(RefinedStats(state), amount_bytes);

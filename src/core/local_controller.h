@@ -35,30 +35,23 @@ class LocalController {
   LocalController& operator=(const LocalController&) = delete;
 
   /// The ss_timer check (Algorithm 1, "ss_timer_expired"): if the tracked
-  /// memory exceeds threshold^mem, returns the spill victims — k% of the
-  /// resident state ranked by the configured policy, excluding groups
-  /// locked by an in-flight relocation. Empty result means "no spill".
-  std::vector<PartitionId> CheckSpill(Tick now, const StateManager& state);
-
-  /// The gradual (bucket-granular) replacement for CheckSpill: same
-  /// timer + threshold gate, but the result is a *plan* — whole groups
-  /// while they fit under the target, then one final partial request
-  /// whose hot residue stays resident. Ordering comes from the
+  /// memory exceeds threshold^mem, returns a gradual (bucket-granular)
+  /// spill *plan* for k% of the resident state (or the adaptive target,
+  /// SpillTargetBytes) — whole groups while they fit under the target,
+  /// then one final partial request whose hot residue stays resident.
+  /// Groups locked by an in-flight relocation are never planned; an
+  /// empty plan means "no spill". Ordering comes from the
   /// incrementally re-costed SpillScoreModel when it has seen a stats
   /// window (kLeastProductiveFirst), falling back to the snapshot
   /// ranking for the other policies / the pre-stats cold start. Sizes
   /// always come from the live state, never the model.
   std::vector<SpillRequest> PlanSpill(Tick now, const StateManager& state);
 
-  /// Gradual plan for a coordinator-forced spill (`amount_bytes` of the
-  /// least productive state; the last victim spills partially).
+  /// Gradual plan for a coordinator-forced spill (active-disk
+  /// "start_ss"): `amount_bytes` of the least productive unlocked state;
+  /// the last victim spills partially.
   std::vector<SpillRequest> PlanForcedSpill(const StateManager& state,
                                             int64_t amount_bytes);
-
-  /// Victim selection for a coordinator-forced spill (active-disk
-  /// "start_ss"): `amount_bytes` of the least productive unlocked groups.
-  std::vector<PartitionId> ChooseForcedSpillVictims(const StateManager& state,
-                                                    int64_t amount_bytes);
 
   /// Selection for relocation step 2 ("computePartsToMove"): the most
   /// productive unlocked groups totaling `amount_bytes`.

@@ -74,14 +74,6 @@ std::vector<GroupStats> RankForSpill(std::vector<GroupStats> stats,
   return stats;
 }
 
-std::vector<PartitionId> SelectSpillVictims(std::vector<GroupStats> stats,
-                                            SpillPolicy policy,
-                                            int64_t target_bytes, Rng* rng) {
-  if (target_bytes <= 0 || stats.empty()) return {};
-  return TakePrefix(RankForSpill(std::move(stats), policy, rng),
-                    target_bytes);
-}
-
 std::vector<PartitionId> SelectRelocationCandidates(
     std::vector<GroupStats> stats, int64_t target_bytes) {
   if (target_bytes <= 0 || stats.empty()) return {};

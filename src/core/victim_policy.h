@@ -15,28 +15,20 @@
 
 namespace dcape {
 
-/// Ranks partition groups under `policy` and selects a prefix whose
-/// cumulative size reaches `target_bytes` (at least one group when any is
-/// available and `target_bytes > 0`). Ties break on partition id so runs
-/// are deterministic. `rng` is required for SpillPolicy::kRandom and
-/// ignored otherwise.
-///
-/// This implements the paper's spill victim selection: the productivity
-/// metric P_output/P_size decides which state leaves memory (§3,
-/// "Throughput-Oriented Spill").
-std::vector<PartitionId> SelectSpillVictims(std::vector<GroupStats> stats,
-                                            SpillPolicy policy,
-                                            int64_t target_bytes, Rng* rng);
-
 /// Selects partition groups to *relocate*: most productive first, until
 /// `target_bytes` is reached (§5.1 — productive state should stay in main
 /// memory, so it is what gets moved to the machine that still has room).
 std::vector<PartitionId> SelectRelocationCandidates(
     std::vector<GroupStats> stats, int64_t target_bytes);
 
-/// Ranks `stats` under `policy` without taking a prefix — the ordering
-/// SelectSpillVictims consumes, exposed so gradual spill planning can
-/// reuse it verbatim for the non-modeled policies.
+/// Ranks partition groups spill-first under `policy`; BuildSpillPlan
+/// takes the plan from this order. Ties break on partition id so runs
+/// are deterministic. `rng` is required for SpillPolicy::kRandom and
+/// ignored otherwise.
+///
+/// This implements the paper's spill victim selection: the productivity
+/// metric P_output/P_size decides which state leaves memory (§3,
+/// "Throughput-Oriented Spill").
 std::vector<GroupStats> RankForSpill(std::vector<GroupStats> stats,
                                      SpillPolicy policy, Rng* rng);
 
@@ -62,7 +54,7 @@ int64_t SpillTargetBytes(int64_t state_bytes, int64_t threshold_bytes,
 /// n) against the ordered index instead of a full re-sort per decision.
 /// `RankedAscending` yields partitions cheapest-to-spill first (lowest
 /// score = least productive), ties broken on partition id, matching
-/// SelectSpillVictims(kLeastProductiveFirst) ordering exactly.
+/// RankForSpill(kLeastProductiveFirst) ordering exactly.
 class SpillScoreModel {
  public:
   /// Folds a stats snapshot in. Partitions absent from `stats` are

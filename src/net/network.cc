@@ -103,9 +103,4 @@ void Network::DeliverWaves(Tick now) {
   }
 }
 
-Tick Network::NextArrival() const {
-  if (heap_.empty()) return -1;
-  return heap_.front().arrival;
-}
-
 }  // namespace dcape

@@ -93,10 +93,6 @@ class Network : public Transport {
   /// True when no message is queued.
   bool idle() const { return heap_.empty(); }
 
-  /// Earliest queued arrival tick, or -1 when idle. Lets drivers fast-
-  /// forward quiet periods.
-  Tick NextArrival() const;
-
   const Stats& stats() const { return stats_; }
   const Config& config() const { return config_; }
 

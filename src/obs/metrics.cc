@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <sstream>
-
 #include "common/check.h"
 
 namespace dcape {
@@ -80,16 +78,6 @@ const Histogram* MetricsRegistry::FindHistogram(std::string_view name,
     }
   }
   return nullptr;
-}
-
-std::string MetricsRegistry::ToCsv() const {
-  std::ostringstream os;
-  os << "name,entity,index,value\n";
-  for (const Sample& s : Snapshot()) {
-    os << s.name << ',' << s.entity << ',' << s.index << ',' << s.value
-       << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace obs

@@ -90,9 +90,6 @@ class MetricsRegistry {
   const Histogram* FindHistogram(std::string_view name,
                                  int entity = kCluster) const;
 
-  /// `name,entity,index,value` CSV of Snapshot() plus a header row.
-  std::string ToCsv() const;
-
   int64_t size() const { return static_cast<int64_t>(entries_.size()); }
 
  private:

@@ -4,45 +4,6 @@
 
 namespace dcape {
 
-StatusOr<MJoin::SpillOutcome> MJoin::SpillPartitions(
-    const std::vector<PartitionId>& partitions, Tick now) {
-  if (spill_store_ == nullptr) {
-    return Status::FailedPrecondition(
-        "this MJoin instance has no spill store");
-  }
-  std::vector<PartitionId> unlocked;
-  unlocked.reserve(partitions.size());
-  for (PartitionId p : partitions) {
-    if (!state_.IsLocked(p)) unlocked.push_back(p);
-  }
-
-  SpillOutcome outcome;
-  std::vector<StateManager::ExtractedGroup> extracted =
-      state_.ExtractGroups(unlocked);
-  for (StateManager::ExtractedGroup& group : extracted) {
-    StatusOr<Tick> io_ticks = spill_store_->WriteSegment(
-        group.partition, now, group.blob, group.tuple_count,
-        /*evicted=*/false, group.raw_bytes);
-    if (!io_ticks.ok()) {
-      // The group is already out of the state manager; losing it here
-      // would silently drop its future join results. Reinstall our own
-      // serialized blob (which cannot fail) and let a later spill check
-      // retry once the disk recovers.
-      DCAPE_CHECK(state_.InstallGroup(group.blob).ok());
-      outcome.failed_groups += 1;
-      if (outcome.first_error.ok()) outcome.first_error = io_ticks.status();
-      continue;
-    }
-    outcome.bytes += group.bytes;
-    outcome.tuples += group.tuple_count;
-    outcome.groups += 1;
-    outcome.segments += 1;
-    outcome.io_ticks += *io_ticks;
-    state_.MarkDiskBacked(group.partition);
-  }
-  return outcome;
-}
-
 StatusOr<MJoin::SpillOutcome> MJoin::SpillGradual(
     const std::vector<SpillRequest>& plan, Tick now, int64_t max_piece_bytes,
     int max_depth) {
@@ -65,10 +26,10 @@ StatusOr<MJoin::SpillOutcome> MJoin::SpillGradual(
           piece.partition, now, piece.blob, piece.tuple_count,
           /*evicted=*/false, piece.raw_bytes, piece.partial, piece.sub_depth);
       if (!io_ticks.ok()) {
-        // Same recovery contract as SpillPartitions: the piece is
-        // already out of the state manager, so losing it would drop
-        // future (and cleanup) results. Reinstalling our own blob
-        // cannot fail; a partial piece merges back into the residue.
+        // The piece is already out of the state manager, so losing it
+        // would drop future (and cleanup) results. Reinstalling our own
+        // blob cannot fail; a partial piece merges back into the residue,
+        // and a later spill check retries once the disk recovers.
         DCAPE_CHECK(state_.InstallGroup(piece.blob).ok());
         outcome.failed_groups += 1;
         if (outcome.first_error.ok()) outcome.first_error = io_ticks.status();

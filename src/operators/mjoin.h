@@ -23,13 +23,14 @@ namespace dcape {
 /// the partitions.
 ///
 /// The operator couples a StateManager (memory-resident partition groups)
-/// with an optional SpillStore; `SpillPartitions` freezes the chosen
-/// groups to disk as new generations. Policy decisions (which partitions,
-/// when) are made by the controllers in `core/`.
+/// with an optional SpillStore; `SpillGradual` freezes the planned
+/// groups, or their coldest keys, to disk as new generations. Policy
+/// decisions (which partitions, how much, when) are made by the
+/// controllers in `core/`.
 class MJoin {
  public:
   /// `spill_store` may be null for engines that never spill (pure
-  /// relocation or all-memory setups); SpillPartitions then fails with
+  /// relocation or all-memory setups); SpillGradual then fails with
   /// FailedPrecondition. `projection` (optional) computes each result's
   /// (group_key, agg_value) from its member tuples.
   MJoin(int num_streams, SpillStore* spill_store,
@@ -61,9 +62,9 @@ class MJoin {
     /// bytes/tuples/io_ticks). `first_error` carries the first failure.
     int failed_groups = 0;
     Status first_error;
-    /// Gradual-spill extras (zero on the whole-group path): segments
-    /// written, groups spilled partially (hot residue resident), and
-    /// extra segments produced by recursive sub-partition splits.
+    /// Segments written, groups spilled partially (hot residue
+    /// resident), and extra segments produced by recursive
+    /// sub-partition splits.
     int segments = 0;
     int partial_groups = 0;
     int subpartition_splits = 0;
@@ -71,24 +72,17 @@ class MJoin {
     int max_sub_depth = 0;
   };
 
-  /// Serializes the given partitions' groups to the spill store (one
-  /// generation each) and drops them from memory. Locked (relocating)
-  /// partitions are skipped. A failed segment write is survivable: the
-  /// extracted group is reinstalled and reported via
-  /// `SpillOutcome::failed_groups` (a later spill check retries).
-  [[nodiscard]] StatusOr<SpillOutcome> SpillPartitions(
-      const std::vector<PartitionId>& partitions, Tick now);
-
   /// Bucket-granular spill: executes a gradual plan (core/victim_policy
   /// SpillRequest list). Whole-group requests extract the full group;
   /// partial requests move only the coldest keys, leaving the hot
   /// residue probe-able in memory. Cold sets larger than
   /// `max_piece_bytes` re-split on a secondary key hash up to
   /// `max_depth` (recursive sub-partitioning), emitting one segment per
-  /// sub-group in deterministic slot order. Failed segment writes
-  /// reinstall the piece (merging back into the residue) — no state is
-  /// ever lost. Successfully spilled partitions are marked disk-backed
-  /// so later probe misses count as cold hits.
+  /// sub-group in deterministic slot order. Locked (relocating) and
+  /// absent partitions are skipped. Failed segment writes reinstall the
+  /// piece (merging back into the residue) — no state is ever lost.
+  /// Successfully spilled partitions are marked disk-backed so later
+  /// probe misses count as cold hits.
   [[nodiscard]] StatusOr<SpillOutcome> SpillGradual(
       const std::vector<SpillRequest>& plan, Tick now,
       int64_t max_piece_bytes, int max_depth);

@@ -62,140 +62,6 @@ bool ClusterConfig::Builder::IsSet(std::string_view flag) const {
          set_flags_.end();
 }
 
-ClusterConfig::Builder& ClusterConfig::Builder::SetStrategy(
-    AdaptationStrategy strategy) {
-  config_.strategy = strategy;
-  return MarkSet("--strategy");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetNumEngines(int n) {
-  config_.num_engines = n;
-  return MarkSet("--engines");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetNumSplitHosts(int n) {
-  config_.num_split_hosts = n;
-  return MarkSet("--split-hosts");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetNumThreads(int n) {
-  config_.num_threads = n;
-  return MarkSet("--threads");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetNumStreams(int n) {
-  config_.workload.num_streams = n;
-  return MarkSet("--streams");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetNumPartitions(int n) {
-  config_.workload.num_partitions = n;
-  return MarkSet("--partitions");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetRunDuration(Tick ticks) {
-  config_.run_duration = ticks;
-  return MarkSet("--duration-min");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetSeed(uint64_t seed) {
-  config_.seed = seed;
-  config_.workload.seed = seed;
-  return MarkSet("--seed");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetJoinWindowTicks(
-    Tick ticks) {
-  config_.join_window_ticks = ticks;
-  return MarkSet("--window-sec");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetPlacementFractions(
-    std::vector<double> fractions) {
-  config_.placement_fractions = std::move(fractions);
-  return MarkSet("--placement");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetMemoryThresholdBytes(
-    int64_t bytes) {
-  config_.spill.memory_threshold_bytes = bytes;
-  return MarkSet("--threshold-kib");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetSpillFraction(
-    double fraction) {
-  config_.spill.spill_fraction = fraction;
-  return MarkSet("--spill-fraction");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetMaxSubpartitionDepth(
-    int depth) {
-  config_.spill.max_subpartition_depth = depth;
-  return MarkSet("--max-subpartition-depth");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetSpillPolicy(
-    SpillPolicy policy) {
-  config_.spill.policy = policy;
-  return MarkSet("--spill-policy");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetRestoreEnabled(
-    bool enabled) {
-  config_.restore.enabled = enabled;
-  return MarkSet("--restore");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetThetaR(double theta) {
-  config_.relocation.theta_r = theta;
-  return MarkSet("--theta");
-}
-
-ClusterConfig::Builder&
-ClusterConfig::Builder::SetMinTimeBetweenRelocations(Tick ticks) {
-  config_.relocation.min_time_between = ticks;
-  return MarkSet("--tau-sec");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetRelocationModel(
-    RelocationModel model) {
-  config_.relocation.model = model;
-  return MarkSet("--relocation-model");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetLambda(double lambda) {
-  config_.active_disk.lambda = lambda;
-  return MarkSet("--lambda");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetProductivityModel(
-    ProductivityModel model) {
-  config_.productivity.model = model;
-  return MarkSet("--productivity");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetEwmaAlpha(double alpha) {
-  config_.productivity.ewma_alpha = alpha;
-  return MarkSet("--ewma-alpha");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetTrace(bool enabled) {
-  config_.trace = enabled;
-  return MarkSet("--trace");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetTraceVerbose(
-    bool enabled) {
-  config_.trace_verbose = enabled;
-  return MarkSet("--trace-verbose");
-}
-
-ClusterConfig::Builder& ClusterConfig::Builder::SetCleanupBlockKib(
-    int64_t kib) {
-  config_.cleanup.block_bytes = kib * 1024;
-  return MarkSet("--cleanup-block-kib");
-}
-
 Status ClusterConfig::Builder::Validate() const {
   const ClusterConfig& c = config_;
   // Unconditional range checks (defaults all pass; these catch both CLI
@@ -231,7 +97,8 @@ Status ClusterConfig::Builder::Validate() const {
   if (c.spill.memory_threshold_bytes < 1) {
     return Status::InvalidArgument("--threshold-kib must be >= 1");
   }
-  if (c.spill.spill_fraction < 0 || c.spill.spill_fraction > 1) {
+  if (!std::isfinite(c.spill.spill_fraction) || c.spill.spill_fraction < 0 ||
+      c.spill.spill_fraction > 1) {
     return Status::InvalidArgument(
         "--spill-fraction must be in (0, 1], or 0 / 'adaptive' for "
         "threshold-driven sizing");
@@ -241,22 +108,25 @@ Status ClusterConfig::Builder::Validate() const {
     return Status::InvalidArgument(
         "--max-subpartition-depth must be in [0, 12]");
   }
-  if (c.relocation.theta_r <= 0 || c.relocation.theta_r >= 1) {
+  if (!std::isfinite(c.relocation.theta_r) || c.relocation.theta_r <= 0 ||
+      c.relocation.theta_r >= 1) {
     return Status::InvalidArgument("--theta must be in (0, 1)");
   }
   if (c.relocation.min_time_between < 0) {
     return Status::InvalidArgument("--tau-sec must be >= 0");
   }
-  if (c.active_disk.lambda <= 1) {
+  if (!std::isfinite(c.active_disk.lambda) || c.active_disk.lambda <= 1) {
     return Status::InvalidArgument("--lambda must be > 1");
   }
-  if (c.productivity.ewma_alpha <= 0 || c.productivity.ewma_alpha > 1) {
+  if (!std::isfinite(c.productivity.ewma_alpha) ||
+      c.productivity.ewma_alpha <= 0 || c.productivity.ewma_alpha > 1) {
     return Status::InvalidArgument("--ewma-alpha must be in (0, 1]");
   }
-  if (c.workload.fluctuation.hot_multiplier < 1) {
+  if (!std::isfinite(c.workload.fluctuation.hot_multiplier) ||
+      c.workload.fluctuation.hot_multiplier < 1) {
     return Status::InvalidArgument("--hot-mult must be >= 1");
   }
-  if (c.workload.zipf_s < 0) {
+  if (!std::isfinite(c.workload.zipf_s) || c.workload.zipf_s < 0) {
     return Status::InvalidArgument("--zipf-s must be >= 0");
   }
   if (c.workload.zipf_s > 0 && c.workload.fluctuation.enabled) {
@@ -269,10 +139,11 @@ Status ClusterConfig::Builder::Validate() const {
     return Status::InvalidArgument(
         "--placement must list one share per engine");
   }
-  if (!c.per_engine_thresholds.empty() &&
-      c.per_engine_thresholds.size() != static_cast<size_t>(c.num_engines)) {
-    return Status::InvalidArgument(
-        "per_engine_thresholds must list one threshold per engine");
+  for (double share : c.placement_fractions) {
+    if (!std::isfinite(share) || share < 0) {
+      return Status::InvalidArgument(
+          "--placement shares must be finite and >= 0");
+    }
   }
   if (!c.per_engine_segment_format.empty() &&
       c.per_engine_segment_format.size() !=

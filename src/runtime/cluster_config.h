@@ -77,9 +77,6 @@ struct ClusterConfig {
   ProductivityConfig productivity;
   /// Online state restore settings for every engine.
   RestoreConfig restore;
-  /// Optional per-engine memory thresholds; empty means
-  /// `spill.memory_threshold_bytes` everywhere.
-  std::vector<int64_t> per_engine_thresholds;
   RelocationConfig relocation;
   ActiveDiskConfig active_disk;
 
@@ -132,66 +129,35 @@ struct ClusterConfig {
   std::shared_ptr<sim::FaultPlan> fault_plan;
   std::shared_ptr<sim::InvariantRecorder> invariants;
 
-  /// Fluent, validated construction (declared below). ClusterConfig
-  /// itself stays an aggregate — `ClusterConfig c; c.num_engines = 4;`
-  /// keeps working — the Builder adds range validation and the
-  /// strategy-consistency checks the CLI enforces.
+  /// Validated construction (declared below). ClusterConfig itself
+  /// stays an aggregate — `ClusterConfig c; c.num_engines = 4;` — and
+  /// the Builder adds range validation and the strategy-consistency
+  /// checks the CLI enforces.
   class Builder;
 };
 
 /// Validated construction of a ClusterConfig.
 ///
-/// Setters record the value and remember that the field was set
-/// explicitly; `Validate()` then applies (a) unconditional range checks
-/// and (b) strategy-consistency checks for the explicitly set fields
-/// only — exactly the rules `dcape_run` enforces on its command line,
-/// with identical wording (error messages name fields by their
-/// canonical CLI flag spelling, e.g. "--theta").
+/// The Builder starts from an aggregate and records which fields were
+/// set explicitly (`MarkSet`); `Validate()` then applies (a)
+/// unconditional range checks and (b) strategy-consistency checks for
+/// the explicitly set fields only — exactly the rules `dcape_run`
+/// enforces on its command line, with identical wording (error messages
+/// name fields by their canonical CLI flag spelling, e.g. "--theta").
 ///
+///   ClusterConfig c;
+///   c.strategy = AdaptationStrategy::kLazyDisk;
+///   c.num_engines = 4;
+///   c.relocation.theta_r = 0.75;
 ///   DCAPE_ASSIGN_OR_RETURN(
 ///       ClusterConfig config,
-///       ClusterConfig::Builder()
-///           .SetStrategy(AdaptationStrategy::kLazyDisk)
-///           .SetNumEngines(4)
-///           .SetThetaR(0.75)
-///           .Build());
+///       ClusterConfig::Builder(std::move(c)).MarkSet("--theta").Build());
 class ClusterConfig::Builder {
  public:
   Builder() = default;
   /// Starts from an existing aggregate (its fields count as defaults,
   /// not as explicitly set).
   explicit Builder(ClusterConfig base) : config_(std::move(base)) {}
-
-  Builder& SetStrategy(AdaptationStrategy strategy);
-  Builder& SetNumEngines(int n);
-  Builder& SetNumSplitHosts(int n);
-  Builder& SetNumThreads(int n);
-  Builder& SetNumStreams(int n);
-  Builder& SetNumPartitions(int n);
-  Builder& SetRunDuration(Tick ticks);
-  Builder& SetSeed(uint64_t seed);
-  Builder& SetJoinWindowTicks(Tick ticks);
-  Builder& SetPlacementFractions(std::vector<double> fractions);
-  Builder& SetMemoryThresholdBytes(int64_t bytes);
-  Builder& SetSpillFraction(double fraction);
-  Builder& SetMaxSubpartitionDepth(int depth);
-  Builder& SetSpillPolicy(SpillPolicy policy);
-  Builder& SetRestoreEnabled(bool enabled);
-  Builder& SetThetaR(double theta);
-  Builder& SetMinTimeBetweenRelocations(Tick ticks);
-  Builder& SetRelocationModel(RelocationModel model);
-  Builder& SetLambda(double lambda);
-  Builder& SetProductivityModel(ProductivityModel model);
-  Builder& SetEwmaAlpha(double alpha);
-  Builder& SetTrace(bool enabled);
-  Builder& SetTraceVerbose(bool enabled);
-  Builder& SetCleanupBlockKib(int64_t kib);
-
-  /// Escape hatch for fields without a dedicated setter (workload
-  /// details, chaos hooks, output options). Fields changed through here
-  /// get the unconditional range checks but no set-field consistency
-  /// check.
-  ClusterConfig& mutable_config() { return config_; }
 
   /// Marks a field as explicitly set by its canonical CLI flag spelling
   /// (e.g. "--theta") without changing its value; the CLI parser uses

@@ -1,6 +1,9 @@
 #include "runtime/experiment_flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <string_view>
@@ -11,24 +14,50 @@
 namespace dcape {
 namespace {
 
-StatusOr<int64_t> ParseInt(std::string_view key, std::string_view value) {
+Status OutOfRange(std::string_view key, std::string_view value) {
+  return Status::InvalidArgument("flag " + std::string(key) +
+                                 " is out of range, got '" +
+                                 std::string(value) + "'");
+}
+
+/// Parses a base-10 integer that `T` can hold.
+template <typename T>
+StatusOr<T> ParseInt(std::string_view key, std::string_view value) {
   char* end = nullptr;
   std::string copy(value);
-  const int64_t parsed = std::strtoll(copy.c_str(), &end, 10);
+  errno = 0;
+  const long long parsed = std::strtoll(copy.c_str(), &end, 10);
   if (end == copy.c_str() || *end != '\0') {
     return Status::InvalidArgument("flag " + std::string(key) +
                                    " expects an integer, got '" + copy + "'");
   }
-  return parsed;
+  if (errno == ERANGE || parsed < std::numeric_limits<T>::min() ||
+      parsed > std::numeric_limits<T>::max()) {
+    return OutOfRange(key, value);
+  }
+  return static_cast<T>(parsed);
+}
+
+/// Parses an integer count of `unit`s and returns it in base units
+/// (KiB → bytes, minutes → ticks), rejecting a product that overflows.
+StatusOr<int64_t> ParseScaledInt(std::string_view key, std::string_view value,
+                                 int64_t unit) {
+  DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt<int64_t>(key, value));
+  int64_t scaled = 0;
+  if (__builtin_mul_overflow(v, unit, &scaled)) {
+    return OutOfRange(key, value);
+  }
+  return scaled;
 }
 
 StatusOr<double> ParseDouble(std::string_view key, std::string_view value) {
   char* end = nullptr;
   std::string copy(value);
   const double parsed = std::strtod(copy.c_str(), &end);
-  if (end == copy.c_str() || *end != '\0') {
+  if (end == copy.c_str() || *end != '\0' || !std::isfinite(parsed)) {
     return Status::InvalidArgument("flag " + std::string(key) +
-                                   " expects a number, got '" + copy + "'");
+                                   " expects a finite number, got '" + copy +
+                                   "'");
   }
   return parsed;
 }
@@ -124,53 +153,52 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(
     const std::string_view value = view.substr(eq + 1);
 
     // Range checks for the fields below live in
-    // ClusterConfig::Builder::Validate(), which runs after the loop.
+    // ClusterConfig::Builder::Validate(), which runs after the loop; the
+    // parsers here reject only values their field cannot hold.
     if (key == "--strategy") {
       DCAPE_ASSIGN_OR_RETURN(config.strategy, ParseStrategy(value));
     } else if (key == "--engines") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.num_engines = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(config.num_engines, ParseInt<int>(key, value));
     } else if (key == "--split-hosts") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.num_split_hosts = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(config.num_split_hosts,
+                             ParseInt<int>(key, value));
     } else if (key == "--threads") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.num_threads = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(config.num_threads, ParseInt<int>(key, value));
     } else if (key == "--streams") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.workload.num_streams = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(config.workload.num_streams,
+                             ParseInt<int>(key, value));
     } else if (key == "--partitions") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.workload.num_partitions = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(config.workload.num_partitions,
+                             ParseInt<int>(key, value));
     } else if (key == "--duration-min") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.run_duration = MinutesToTicks(v);
+      DCAPE_ASSIGN_OR_RETURN(config.run_duration,
+                             ParseScaledInt(key, value, MinutesToTicks(1)));
     } else if (key == "--inter-arrival-ms") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.workload.inter_arrival_ticks = v;
+      DCAPE_ASSIGN_OR_RETURN(config.workload.inter_arrival_ticks,
+                             ParseInt<int64_t>(key, value));
     } else if (key == "--join-rate") {
       DCAPE_ASSIGN_OR_RETURN(join_rate, ParseDouble(key, value));
       if (join_rate <= 0) {
         return Status::InvalidArgument("--join-rate must be > 0");
       }
     } else if (key == "--tuple-range") {
-      DCAPE_ASSIGN_OR_RETURN(tuple_range, ParseInt(key, value));
+      DCAPE_ASSIGN_OR_RETURN(tuple_range, ParseInt<int64_t>(key, value));
       if (tuple_range < 1) {
         return Status::InvalidArgument("--tuple-range must be >= 1");
       }
     } else if (key == "--payload-bytes") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.workload.payload_bytes = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(config.workload.payload_bytes,
+                             ParseInt<int>(key, value));
     } else if (key == "--seed") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
+      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt<int64_t>(key, value));
       config.seed = static_cast<uint64_t>(v);
       config.workload.seed = static_cast<uint64_t>(v);
     } else if (key == "--placement") {
       DCAPE_ASSIGN_OR_RETURN(config.placement_fractions,
                              ParseDoubleList(key, value));
     } else if (key == "--threshold-kib") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.spill.memory_threshold_bytes = v * kKiB;
+      DCAPE_ASSIGN_OR_RETURN(config.spill.memory_threshold_bytes,
+                             ParseScaledInt(key, value, kKiB));
     } else if (key == "--spill-fraction") {
       if (value == "adaptive") {
         config.spill.spill_fraction = 0.0;  // sentinel: threshold-driven
@@ -179,21 +207,18 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(
                                ParseDouble(key, value));
       }
     } else if (key == "--max-subpartition-depth") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.spill.max_subpartition_depth = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(config.spill.max_subpartition_depth,
+                             ParseInt<int>(key, value));
     } else if (key == "--zipf-s") {
       DCAPE_ASSIGN_OR_RETURN(config.workload.zipf_s, ParseDouble(key, value));
-      if (config.workload.zipf_s < 0) {
-        return Status::InvalidArgument("--zipf-s must be >= 0");
-      }
     } else if (key == "--spill-policy") {
       DCAPE_ASSIGN_OR_RETURN(config.spill.policy, ParseSpillPolicy(value));
     } else if (key == "--theta") {
       DCAPE_ASSIGN_OR_RETURN(config.relocation.theta_r,
                              ParseDouble(key, value));
     } else if (key == "--tau-sec") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.relocation.min_time_between = SecondsToTicks(v);
+      DCAPE_ASSIGN_OR_RETURN(config.relocation.min_time_between,
+                             ParseScaledInt(key, value, SecondsToTicks(1)));
     } else if (key == "--relocation-model") {
       DCAPE_ASSIGN_OR_RETURN(config.relocation.model,
                              ParseRelocationModel(value));
@@ -207,15 +232,17 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(
       DCAPE_ASSIGN_OR_RETURN(config.productivity.ewma_alpha,
                              ParseDouble(key, value));
     } else if (key == "--phase-min") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      if (v < 1) return Status::InvalidArgument("--phase-min must be >= 1");
-      config.workload.fluctuation.phase_ticks = MinutesToTicks(v);
+      DCAPE_ASSIGN_OR_RETURN(config.workload.fluctuation.phase_ticks,
+                             ParseScaledInt(key, value, MinutesToTicks(1)));
+      if (config.workload.fluctuation.phase_ticks < 1) {
+        return Status::InvalidArgument("--phase-min must be >= 1");
+      }
     } else if (key == "--hot-mult") {
       DCAPE_ASSIGN_OR_RETURN(config.workload.fluctuation.hot_multiplier,
                              ParseDouble(key, value));
     } else if (key == "--window-sec") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.join_window_ticks = SecondsToTicks(v);
+      DCAPE_ASSIGN_OR_RETURN(config.join_window_ticks,
+                             ParseScaledInt(key, value, SecondsToTicks(1)));
     } else if (key == "--segment-format") {
       if (value == "v1") {
         config.segment_format = SegmentFormat::kV1;
@@ -226,18 +253,21 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(
             "--segment-format must be v1 or v2");
       }
     } else if (key == "--cleanup-block-kib") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      config.cleanup.block_bytes = v * kKiB;
+      DCAPE_ASSIGN_OR_RETURN(config.cleanup.block_bytes,
+                             ParseScaledInt(key, value, kKiB));
     } else if (key == "--duration-sec") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      if (v < 1) return Status::InvalidArgument("--duration-sec must be >= 1");
-      options.rt_duration_sec = static_cast<int>(v);
+      DCAPE_ASSIGN_OR_RETURN(options.rt_duration_sec,
+                             ParseInt<int>(key, value));
+      if (options.rt_duration_sec < 1) {
+        return Status::InvalidArgument("--duration-sec must be >= 1");
+      }
     } else if (key == "--rate") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
-      if (v < 0) return Status::InvalidArgument("--rate must be >= 0");
-      options.rt_rate = v;
+      DCAPE_ASSIGN_OR_RETURN(options.rt_rate, ParseInt<int64_t>(key, value));
+      if (options.rt_rate < 0) {
+        return Status::InvalidArgument("--rate must be >= 0");
+      }
     } else if (key == "--rt-queue-capacity") {
-      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt(key, value));
+      DCAPE_ASSIGN_OR_RETURN(int64_t v, ParseInt<int64_t>(key, value));
       if (v < 2) {
         return Status::InvalidArgument("--rt-queue-capacity must be >= 2");
       }

@@ -84,12 +84,6 @@ Topology::Topology(const ClusterConfig& config, Transport* transport,
     engine_config.productivity = config_.productivity;
     engine_config.restore = config_.restore;
     engine_config.window_ticks = config_.join_window_ticks;
-    if (!config_.per_engine_thresholds.empty()) {
-      DCAPE_CHECK_EQ(config_.per_engine_thresholds.size(),
-                     static_cast<size_t>(config_.num_engines));
-      engine_config.spill.memory_threshold_bytes =
-          config_.per_engine_thresholds[static_cast<size_t>(e)];
-    }
     engine_config.stats_period = config_.stats_period;
     engine_config.projection = config_.projection;
     engine_config.segment_format = config_.segment_format;

@@ -62,7 +62,5 @@ Status FaultyBackend::Remove(const std::string& name) {
   return inner_->Remove(name);
 }
 
-std::vector<std::string> FaultyBackend::List() const { return inner_->List(); }
-
 }  // namespace sim
 }  // namespace dcape

@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/mutex.h"
@@ -42,7 +41,6 @@ class FaultyBackend : public DiskBackend {
   StatusOr<std::string> ReadRange(const std::string& name, int64_t offset,
                                   int64_t len) override;
   Status Remove(const std::string& name) override;
-  std::vector<std::string> List() const override;
 
  private:
   std::unique_ptr<DiskBackend> inner_;

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -62,13 +61,6 @@ StatusOr<std::string> MemoryDiskBackend::ReadRange(const std::string& name,
                            static_cast<size_t>(len));
 }
 
-std::vector<std::string> MemoryDiskBackend::List() const {
-  std::vector<std::string> names;
-  names.reserve(objects_.size());
-  for (const auto& [name, data] : objects_) names.push_back(name);
-  return names;
-}
-
 FileDiskBackend::FileDiskBackend(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -81,9 +73,9 @@ std::string FileDiskBackend::PathFor(const std::string& name) const {
 
 Status FileDiskBackend::Write(const std::string& name, std::string_view data) {
   // Write to a temp file, then rename over the final path: a crash
-  // mid-write leaves either the old object or a stray .tmp (which List
-  // ignores), never a truncated object that would later deserialize as
-  // corrupt state.
+  // mid-write leaves either the old object or a stray .tmp (which no
+  // object name reads), never a truncated object that would later
+  // deserialize as corrupt state.
   const std::string final_path = PathFor(name);
   const std::string tmp_path = final_path + ".tmp";
   {
@@ -139,19 +131,6 @@ Status FileDiskBackend::Remove(const std::string& name) {
     return Status::NotFound("no spill file named '" + name + "'");
   }
   return Status::OK();
-}
-
-std::vector<std::string> FileDiskBackend::List() const {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    if (entry.is_regular_file() &&
-        entry.path().extension() != ".tmp") {
-      names.push_back(entry.path().filename().string());
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 namespace {

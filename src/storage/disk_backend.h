@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
@@ -27,8 +26,6 @@ class DiskBackend {
       const std::string& name) = 0;
   /// Removes the named object. NotFound if absent.
   [[nodiscard]] virtual Status Remove(const std::string& name) = 0;
-  /// Names of all stored objects, sorted.
-  virtual std::vector<std::string> List() const = 0;
 
   /// Reads `len` bytes of the named object starting at `offset`. The
   /// base implementation reads the whole object and slices; backends
@@ -51,7 +48,6 @@ class MemoryDiskBackend : public DiskBackend {
   Status Write(const std::string& name, std::string_view data) override;
   StatusOr<std::string> Read(const std::string& name) override;
   Status Remove(const std::string& name) override;
-  std::vector<std::string> List() const override;
   StatusOr<std::string> ReadRange(const std::string& name, int64_t offset,
                                   int64_t len) override;
 
@@ -62,7 +58,7 @@ class MemoryDiskBackend : public DiskBackend {
 /// Filesystem-directory backend. Each object is one file under `dir`.
 /// Writes are crash-consistent: data lands in a `.tmp` sibling first and
 /// is renamed into place, so a partially written object is never visible
-/// under its final name (List also skips `.tmp` leftovers).
+/// under its final name.
 class FileDiskBackend : public DiskBackend {
  public:
   /// Creates `dir` (recursively) if needed; aborts on failure since a
@@ -72,7 +68,6 @@ class FileDiskBackend : public DiskBackend {
   Status Write(const std::string& name, std::string_view data) override;
   StatusOr<std::string> Read(const std::string& name) override;
   Status Remove(const std::string& name) override;
-  std::vector<std::string> List() const override;
   StatusOr<std::string> ReadRange(const std::string& name, int64_t offset,
                                   int64_t len) override;
 

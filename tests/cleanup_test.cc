@@ -314,7 +314,6 @@ class RecordingBackend : public DiskBackend {
   Status Remove(const std::string& name) override {
     return inner_.Remove(name);
   }
-  std::vector<std::string> List() const override { return inner_.List(); }
   StatusOr<std::string> ReadRange(const std::string& name, int64_t offset,
                                   int64_t len) override {
     {

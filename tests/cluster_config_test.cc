@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "stream/trace.h"
 
@@ -85,140 +87,26 @@ TEST(ClusterConfigBuilderTest, DefaultsValidate) {
   EXPECT_EQ(built->strategy, AdaptationStrategy::kNoAdaptation);
 }
 
-TEST(ClusterConfigBuilderTest, SettersFlowIntoTheConfig) {
-  StatusOr<ClusterConfig> built = ClusterConfig::Builder()
-                                      .SetStrategy(AdaptationStrategy::kLazyDisk)
-                                      .SetNumEngines(4)
-                                      .SetNumThreads(3)
-                                      .SetSeed(99)
-                                      .SetThetaR(0.6)
-                                      .Build();
-  ASSERT_TRUE(built.ok()) << built.status();
-  EXPECT_EQ(built->num_engines, 4);
-  EXPECT_EQ(built->num_threads, 3);
-  EXPECT_EQ(built->seed, 99u);
-  EXPECT_EQ(built->workload.seed, 99u);
-  EXPECT_DOUBLE_EQ(built->relocation.theta_r, 0.6);
-}
-
-TEST(ClusterConfigBuilderTest, RangeChecksCatchBadValues) {
-  EXPECT_FALSE(ClusterConfig::Builder().SetNumEngines(0).Build().ok());
-  EXPECT_FALSE(ClusterConfig::Builder().SetNumEngines(65).Build().ok());
-  EXPECT_FALSE(ClusterConfig::Builder().SetNumThreads(0).Build().ok());
-  EXPECT_FALSE(ClusterConfig::Builder().SetNumStreams(1).Build().ok());
-  EXPECT_FALSE(ClusterConfig::Builder()
-                   .SetStrategy(AdaptationStrategy::kLazyDisk)
-                   .SetSpillFraction(1.5)
-                   .Build()
-                   .ok());
-  Status status =
-      ClusterConfig::Builder().SetNumEngines(0).Validate();
-  EXPECT_NE(status.message().find("--engines"), std::string::npos);
-}
-
-TEST(ClusterConfigBuilderTest, SpillFractionAcceptsAdaptiveSentinel) {
-  // 0 is the adaptive sentinel (threshold-overshoot sizing), valid under
-  // any spilling strategy; out-of-range values fail naming the flag.
-  EXPECT_TRUE(ClusterConfig::Builder()
-                  .SetStrategy(AdaptationStrategy::kSpillOnly)
-                  .SetSpillFraction(0.0)
-                  .Build()
-                  .ok());
-  for (double bad : {-0.1, 1.5}) {
-    StatusOr<ClusterConfig> built =
-        ClusterConfig::Builder()
-            .SetStrategy(AdaptationStrategy::kSpillOnly)
-            .SetSpillFraction(bad)
-            .Build();
-    ASSERT_FALSE(built.ok()) << bad;
-    EXPECT_NE(built.status().message().find("--spill-fraction"),
-              std::string::npos)
-        << built.status().ToString();
-  }
-}
-
-TEST(ClusterConfigBuilderTest, MaxSubpartitionDepthRangeChecked) {
-  for (int depth : {0, 4, 12}) {
-    EXPECT_TRUE(ClusterConfig::Builder()
-                    .SetStrategy(AdaptationStrategy::kSpillOnly)
-                    .SetMaxSubpartitionDepth(depth)
-                    .Build()
-                    .ok())
-        << depth;
-  }
-  for (int depth : {-1, 13}) {
-    StatusOr<ClusterConfig> built =
-        ClusterConfig::Builder()
-            .SetStrategy(AdaptationStrategy::kSpillOnly)
-            .SetMaxSubpartitionDepth(depth)
-            .Build();
-    ASSERT_FALSE(built.ok()) << depth;
-    EXPECT_NE(built.status().message().find("--max-subpartition-depth"),
-              std::string::npos)
-        << built.status().ToString();
-  }
-  // Like the other spill knobs, setting it explicitly under a
-  // non-spilling strategy is a consistency error.
-  StatusOr<ClusterConfig> built =
-      ClusterConfig::Builder().SetMaxSubpartitionDepth(4).Build();
-  ASSERT_FALSE(built.ok());
-  EXPECT_NE(built.status().message().find("--max-subpartition-depth"),
-            std::string::npos);
-  EXPECT_NE(built.status().message().find("spilling strategy"),
-            std::string::npos);
-}
-
 TEST(ClusterConfigBuilderTest, ZipfSkewRangeAndFluctuationExclusion) {
-  ClusterConfig::Builder negative;
-  negative.mutable_config().workload.zipf_s = -0.5;
-  Status status = negative.Validate();
+  ClusterConfig negative;
+  negative.workload.zipf_s = -0.5;
+  Status status = ClusterConfig::Builder(negative).Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("--zipf-s"), std::string::npos);
 
   // Static Zipf skew and time-varying fluctuation are mutually
   // exclusive workload shapes.
-  ClusterConfig::Builder both;
-  both.mutable_config().workload.zipf_s = 0.8;
-  both.mutable_config().workload.fluctuation.enabled = true;
-  status = both.Validate();
+  ClusterConfig both;
+  both.workload.zipf_s = 0.8;
+  both.workload.fluctuation.enabled = true;
+  status = ClusterConfig::Builder(both).Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("--zipf-s"), std::string::npos);
   EXPECT_NE(status.message().find("--fluctuation"), std::string::npos);
 
-  ClusterConfig::Builder valid;
-  valid.mutable_config().workload.zipf_s = 0.8;
-  EXPECT_TRUE(valid.Validate().ok());
-}
-
-TEST(ClusterConfigBuilderTest, StrategyConsistencyOnlyForExplicitFields) {
-  // theta_r has a (valid) default; not setting it keeps all-mem fine.
-  EXPECT_TRUE(ClusterConfig::Builder().Build().ok());
-  // Explicitly tuning relocation under a non-relocating strategy fails.
-  StatusOr<ClusterConfig> built =
-      ClusterConfig::Builder().SetThetaR(0.5).Build();
-  ASSERT_FALSE(built.ok());
-  EXPECT_NE(built.status().message().find("--theta"), std::string::npos);
-  EXPECT_NE(built.status().message().find("relocating strategy"),
-            std::string::npos);
-  // The same value under a relocating strategy is fine.
-  EXPECT_TRUE(ClusterConfig::Builder()
-                  .SetStrategy(AdaptationStrategy::kRelocationOnly)
-                  .SetThetaR(0.5)
-                  .Build()
-                  .ok());
-}
-
-TEST(ClusterConfigBuilderTest, LambdaRequiresActiveDisk) {
-  EXPECT_FALSE(ClusterConfig::Builder()
-                   .SetStrategy(AdaptationStrategy::kLazyDisk)
-                   .SetLambda(3.0)
-                   .Build()
-                   .ok());
-  EXPECT_TRUE(ClusterConfig::Builder()
-                  .SetStrategy(AdaptationStrategy::kActiveDisk)
-                  .SetLambda(3.0)
-                  .Build()
-                  .ok());
+  ClusterConfig valid;
+  valid.workload.zipf_s = 0.8;
+  EXPECT_TRUE(ClusterConfig::Builder(valid).Validate().ok());
 }
 
 TEST(ClusterConfigBuilderTest, AggregateBaseCountsAsDefaults) {
@@ -232,36 +120,65 @@ TEST(ClusterConfigBuilderTest, AggregateBaseCountsAsDefaults) {
       ClusterConfig::Builder(base).MarkSet("--theta").Build().ok());
 }
 
-TEST(ClusterConfigBuilderTest, TraceVerboseRequiresTrace) {
-  EXPECT_FALSE(ClusterConfig::Builder().SetTraceVerbose(true).Build().ok());
-  StatusOr<ClusterConfig> built = ClusterConfig::Builder()
-                                      .SetTrace(true)
-                                      .SetTraceVerbose(true)
-                                      .Build();
-  ASSERT_TRUE(built.ok());
-  EXPECT_TRUE(built->trace);
-  EXPECT_TRUE(built->trace_verbose);
-}
-
-TEST(ClusterConfigBuilderTest, PlacementMustMatchEngineCount) {
-  EXPECT_FALSE(ClusterConfig::Builder()
-                   .SetNumEngines(2)
-                   .SetPlacementFractions({0.5, 0.3, 0.2})
-                   .Build()
-                   .ok());
-  EXPECT_TRUE(ClusterConfig::Builder()
-                  .SetNumEngines(3)
-                  .SetPlacementFractions({0.5, 0.3, 0.2})
-                  .Build()
-                  .ok());
-}
-
-TEST(ClusterConfigBuilderTest, MutableConfigEscapeHatchStillRangeChecked) {
-  ClusterConfig::Builder builder;
-  builder.mutable_config().workload.inter_arrival_ticks = 0;
-  Status status = builder.Validate();
+TEST(ClusterConfigBuilderTest, AggregateFieldsAreRangeChecked) {
+  // Range checks do not depend on MarkSet: a programmatic config gets
+  // them too.
+  ClusterConfig c;
+  c.workload.inter_arrival_ticks = 0;
+  Status status = ClusterConfig::Builder(c).Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("--inter-arrival-ms"), std::string::npos);
+}
+
+TEST(ClusterConfigBuilderTest, NonFiniteValuesAreRejected) {
+  // NaN fails every < and > test, so each range check must reject it
+  // explicitly; an unbounded range must also reject infinity.
+  struct Field {
+    const char* flag;
+    double* (*of)(ClusterConfig*);
+  };
+  const Field fields[] = {
+      {"--theta", [](ClusterConfig* c) { return &c->relocation.theta_r; }},
+      {"--lambda", [](ClusterConfig* c) { return &c->active_disk.lambda; }},
+      {"--ewma-alpha",
+       [](ClusterConfig* c) { return &c->productivity.ewma_alpha; }},
+      {"--spill-fraction",
+       [](ClusterConfig* c) { return &c->spill.spill_fraction; }},
+      {"--hot-mult",
+       [](ClusterConfig* c) {
+         return &c->workload.fluctuation.hot_multiplier;
+       }},
+      {"--zipf-s", [](ClusterConfig* c) { return &c->workload.zipf_s; }},
+  };
+  for (const Field& field : fields) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      ClusterConfig c;
+      *field.of(&c) = bad;
+      Status status = ClusterConfig::Builder(c).Validate();
+      ASSERT_FALSE(status.ok()) << field.flag << "=" << bad;
+      EXPECT_NE(status.message().find(field.flag), std::string::npos)
+          << status.ToString();
+    }
+  }
+}
+
+TEST(ClusterConfigBuilderTest, PlacementSharesMustBeFiniteAndNonNegative) {
+  for (const std::vector<double>& shares :
+       {std::vector<double>{2, -1},
+        std::vector<double>{0.5, std::numeric_limits<double>::quiet_NaN()},
+        std::vector<double>{std::numeric_limits<double>::infinity(), 0}}) {
+    ClusterConfig c;
+    c.placement_fractions = shares;
+    Status status = ClusterConfig::Builder(c).Validate();
+    ASSERT_FALSE(status.ok()) << shares[0] << "," << shares[1];
+    EXPECT_NE(status.message().find("--placement"), std::string::npos)
+        << status.ToString();
+  }
+  // An engine may start with no partitions.
+  ClusterConfig c;
+  c.placement_fractions = {1, 0};
+  EXPECT_TRUE(ClusterConfig::Builder(c).Validate().ok());
 }
 
 /// A replay trace of `num_streams` streams holding one tuple.
@@ -276,27 +193,26 @@ std::shared_ptr<const std::string> OneTupleTrace(int num_streams) {
 }
 
 TEST(ClusterConfigBuilderTest, ReplayTraceMustDecode) {
-  ClusterConfig::Builder builder;
-  builder.mutable_config().replay_trace =
-      std::make_shared<const std::string>("not a trace");
-  Status status = builder.Validate();
+  ClusterConfig c;
+  c.replay_trace = std::make_shared<const std::string>("not a trace");
+  Status status = ClusterConfig::Builder(c).Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("--replay-trace"), std::string::npos);
 }
 
 TEST(ClusterConfigBuilderTest, ReplayTraceMustMatchStreamCount) {
-  ClusterConfig::Builder builder;
-  builder.SetNumStreams(3);
-  builder.mutable_config().replay_trace = OneTupleTrace(4);
-  Status status = builder.Validate();
+  ClusterConfig c;
+  c.workload.num_streams = 3;
+  c.replay_trace = OneTupleTrace(4);
+  Status status = ClusterConfig::Builder(c).Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("--replay-trace"), std::string::npos);
   EXPECT_NE(status.message().find("--streams"), std::string::npos);
 
-  builder.mutable_config().replay_trace = OneTupleTrace(3);
-  EXPECT_TRUE(builder.Validate().ok());
+  c.replay_trace = OneTupleTrace(3);
+  EXPECT_TRUE(ClusterConfig::Builder(c).Validate().ok());
 }
 
 }  // namespace

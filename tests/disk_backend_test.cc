@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace dcape {
 namespace {
@@ -63,16 +66,14 @@ TYPED_TEST(DiskBackendTest, RemoveDeletes) {
   EXPECT_EQ(backend->Remove("gone").code(), StatusCode::kNotFound);
 }
 
-TYPED_TEST(DiskBackendTest, ListReturnsSortedNames) {
-  auto backend = MakeBackend<TypeParam>();
-  ASSERT_TRUE(backend->Write("b", "2").ok());
-  ASSERT_TRUE(backend->Write("a", "1").ok());
-  ASSERT_TRUE(backend->Write("c", "3").ok());
-  std::vector<std::string> names = backend->List();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "a");
-  EXPECT_EQ(names[1], "b");
-  EXPECT_EQ(names[2], "c");
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 TEST(FileDiskBackendTest, WritesLeaveNoTempFiles) {
@@ -91,7 +92,7 @@ TEST(FileDiskBackendTest, WritesLeaveNoTempFiles) {
       if (entry.path().extension() == ".tmp") ++tmp_files;
     }
     EXPECT_EQ(tmp_files, 0);
-    std::vector<std::string> names = backend.List();
+    std::vector<std::string> names = FilesIn(dir);
     ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "a.spill");
     EXPECT_EQ(names[1], "b.spill");
@@ -99,9 +100,10 @@ TEST(FileDiskBackendTest, WritesLeaveNoTempFiles) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FileDiskBackendTest, ListSkipsInFlightTempFiles) {
+TEST(FileDiskBackendTest, StaleTempFileIsNotAnObject) {
   // A leftover .tmp (e.g. from a crash mid-write) is not a segment:
-  // List must skip it and Read must not see it.
+  // objects are found only by name, so Read must not see it, and the
+  // next write of that name publishes over it.
   std::string dir =
       (std::filesystem::temp_directory_path() / "dcape_stale_tmp").string();
   std::filesystem::remove_all(dir);
@@ -109,9 +111,11 @@ TEST(FileDiskBackendTest, ListSkipsInFlightTempFiles) {
     FileDiskBackend backend(dir);
     ASSERT_TRUE(backend.Write("real", "data").ok());
     std::ofstream(std::filesystem::path(dir) / "crashed.tmp") << "partial";
-    std::vector<std::string> names = backend.List();
-    ASSERT_EQ(names.size(), 1u);
-    EXPECT_EQ(names[0], "real");
+    EXPECT_EQ(backend.Read("crashed").status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(backend.Read("real").value(), "data");
+    ASSERT_TRUE(backend.Write("crashed", "whole").ok());
+    EXPECT_EQ(backend.Read("crashed").value(), "whole");
+    EXPECT_EQ(FilesIn(dir), (std::vector<std::string>{"crashed", "real"}));
   }
   std::filesystem::remove_all(dir);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace dcape {
 namespace {
 
@@ -22,7 +25,7 @@ TEST(ExperimentFlagsTest, DefaultsWhenEmpty) {
 TEST(ExperimentFlagsTest, ParsesFullCommandLine) {
   StatusOr<ExperimentOptions> options = Parse(
       {"--strategy=active-disk", "--engines=3", "--split-hosts=3",
-       "--streams=4", "--partitions=100", "--duration-min=20",
+       "--threads=3", "--streams=4", "--partitions=100", "--duration-min=20",
        "--inter-arrival-ms=5", "--join-rate=4", "--tuple-range=90000",
        "--payload-bytes=32", "--seed=7", "--placement=0.5,0.3,0.2",
        "--threshold-kib=1024", "--spill-fraction=0.5",
@@ -36,6 +39,7 @@ TEST(ExperimentFlagsTest, ParsesFullCommandLine) {
   EXPECT_EQ(c.strategy, AdaptationStrategy::kActiveDisk);
   EXPECT_EQ(c.num_engines, 3);
   EXPECT_EQ(c.num_split_hosts, 3);
+  EXPECT_EQ(c.num_threads, 3);
   EXPECT_EQ(c.workload.num_streams, 4);
   EXPECT_EQ(c.workload.num_partitions, 100);
   EXPECT_EQ(c.run_duration, MinutesToTicks(20));
@@ -45,6 +49,7 @@ TEST(ExperimentFlagsTest, ParsesFullCommandLine) {
   EXPECT_EQ(c.workload.classes[0].tuple_range, 90000);
   EXPECT_EQ(c.workload.payload_bytes, 32);
   EXPECT_EQ(c.seed, 7u);
+  EXPECT_EQ(c.workload.seed, 7u);
   ASSERT_EQ(c.placement_fractions.size(), 3u);
   EXPECT_DOUBLE_EQ(c.placement_fractions[1], 0.3);
   EXPECT_EQ(c.spill.memory_threshold_bytes, 1024 * kKiB);
@@ -79,11 +84,54 @@ TEST(ExperimentFlagsTest, RejectsMalformedNumbers) {
 
 TEST(ExperimentFlagsTest, RejectsOutOfRangeValues) {
   EXPECT_FALSE(Parse({"--engines=0"}).ok());
+  EXPECT_FALSE(Parse({"--threads=0"}).ok());
   EXPECT_FALSE(Parse({"--streams=1"}).ok());
   EXPECT_FALSE(Parse({"--theta=1.5"}).ok());
   EXPECT_FALSE(Parse({"--spill-fraction=1.5"}).ok());
   EXPECT_FALSE(Parse({"--lambda=1"}).ok());
   EXPECT_FALSE(Parse({"--ewma-alpha=2"}).ok());
+  StatusOr<ExperimentOptions> engines = Parse({"--engines=65"});
+  ASSERT_FALSE(engines.ok());
+  EXPECT_NE(engines.status().message().find("--engines"), std::string::npos);
+  StatusOr<ExperimentOptions> inter_arrival = Parse({"--inter-arrival-ms=0"});
+  ASSERT_FALSE(inter_arrival.ok());
+  EXPECT_NE(inter_arrival.status().message().find("--inter-arrival-ms"),
+            std::string::npos);
+}
+
+TEST(ExperimentFlagsTest, RejectsIntegersTheirFieldCannotHold) {
+  // Each of these once ran with a wrapped value: 2 engines, 3 streams,
+  // 64-byte payloads, a 1 KiB threshold, a sub-minute run; the last
+  // text does not fit int64_t at all.
+  for (const char* arg :
+       {"--engines=4294967298", "--streams=4294967299",
+        "--payload-bytes=4294967360", "--threshold-kib=18014398509481985",
+        "--duration-min=307445734561826",
+        "--tuple-range=9223372036854775808"}) {
+    StatusOr<ExperimentOptions> options = Parse({arg});
+    ASSERT_FALSE(options.ok()) << arg;
+    const std::string flag_name =
+        std::string(arg).substr(0, std::string(arg).find('='));
+    EXPECT_NE(options.status().message().find(flag_name), std::string::npos)
+        << options.status().ToString();
+  }
+}
+
+TEST(ExperimentFlagsTest, RejectsNonFiniteNumbersAndNegativeShares) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--strategy=lazy-disk", "--theta=nan"},
+      {"--strategy=spill-only", "--spill-fraction=nan"},
+      {"--strategy=active-disk", "--lambda=inf"},
+      {"--join-rate=nan"},
+      {"--placement=2,-1"},
+  };
+  for (const auto& args : cases) {
+    StatusOr<ExperimentOptions> options = Parse(args);
+    ASSERT_FALSE(options.ok()) << args.back();
+    const std::string flag_name = args.back().substr(0, args.back().find('='));
+    EXPECT_NE(options.status().message().find(flag_name), std::string::npos)
+        << options.status().ToString();
+  }
 }
 
 TEST(ExperimentFlagsTest, ParsesGradualSpillFlags) {
@@ -93,6 +141,11 @@ TEST(ExperimentFlagsTest, ParsesGradualSpillFlags) {
   ASSERT_TRUE(options.ok()) << options.status().message();
   EXPECT_DOUBLE_EQ(options->cluster.spill.spill_fraction, 0.0);
   EXPECT_EQ(options->cluster.spill.max_subpartition_depth, 6);
+  for (const char* depth :
+       {"--max-subpartition-depth=0", "--max-subpartition-depth=4",
+        "--max-subpartition-depth=12"}) {
+    EXPECT_TRUE(Parse({"--strategy=spill-only", depth}).ok()) << depth;
+  }
   // The literal 0 is the same sentinel as 'adaptive'.
   StatusOr<ExperimentOptions> zero =
       Parse({"--strategy=spill-only", "--spill-fraction=0"});
@@ -123,6 +176,8 @@ TEST(ExperimentFlagsTest, GradualSpillFlagRangesNameTheOffender) {
       Parse({"--max-subpartition-depth=4"});
   ASSERT_FALSE(wrong_strategy.ok());
   EXPECT_NE(wrong_strategy.status().message().find("--max-subpartition-depth"),
+            std::string::npos);
+  EXPECT_NE(wrong_strategy.status().message().find("spilling strategy"),
             std::string::npos);
 }
 
@@ -220,6 +275,9 @@ TEST(ExperimentFlagsTest, RelocationFlagsRequireARelocatingStrategy) {
         std::string(arg).substr(0, std::string(arg).find('='));
     EXPECT_NE(implicit.status().message().find(flag_name), std::string::npos)
         << implicit.status().ToString();
+    EXPECT_NE(implicit.status().message().find("relocating strategy"),
+              std::string::npos)
+        << implicit.status().ToString();
     EXPECT_FALSE(Parse({"--strategy=spill-only", arg}).ok()) << arg;
     EXPECT_TRUE(Parse({"--strategy=relocation-only", arg}).ok()) << arg;
     EXPECT_TRUE(Parse({"--strategy=active-disk", arg}).ok()) << arg;
@@ -235,6 +293,14 @@ TEST(ExperimentFlagsTest, LambdaRequiresActiveDisk) {
     EXPECT_NE(options.status().message().find("--lambda"), std::string::npos);
   }
   EXPECT_TRUE(Parse({"--strategy=active-disk", "--lambda=3"}).ok());
+}
+
+TEST(ExperimentFlagsTest, TraceVerboseRequiresTrace) {
+  EXPECT_FALSE(Parse({"--trace-verbose"}).ok());
+  StatusOr<ExperimentOptions> options = Parse({"--trace", "--trace-verbose"});
+  ASSERT_TRUE(options.ok()) << options.status().message();
+  EXPECT_TRUE(options->cluster.trace);
+  EXPECT_TRUE(options->cluster.trace_verbose);
 }
 
 TEST(ExperimentFlagsTest, HelpIsAnError) {

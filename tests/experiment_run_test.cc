@@ -75,21 +75,5 @@ TEST(ExperimentRunTest, TraceFileRecordReplayViaConfig) {
   std::filesystem::remove(path);
 }
 
-TEST(ExperimentRunTest, PerEngineThresholdsRespected) {
-  // Engine 0 gets a tiny threshold, engine 1 an effectively unlimited
-  // one: only engine 0 may spill.
-  ClusterConfig config = testing::SmallClusterConfig();
-  config.run_duration = MinutesToTicks(1);
-  config.strategy = AdaptationStrategy::kSpillOnly;
-  config.collect_results = false;
-  config.cleanup.collect_results = false;
-  config.per_engine_thresholds = {32 * kKiB, 1 * kGiB};
-  Cluster cluster(config);
-  RunResult result = cluster.Run();
-  ASSERT_EQ(result.engines.size(), 2u);
-  EXPECT_GT(result.engines[0].spill_events, 0);
-  EXPECT_EQ(result.engines[1].spill_events, 0);
-}
-
 }  // namespace
 }  // namespace dcape

@@ -47,7 +47,6 @@ class CorruptibleBackend : public DiskBackend {
   Status Remove(const std::string& name) override {
     return inner_.Remove(name);
   }
-  std::vector<std::string> List() const override { return inner_.List(); }
 
   void set_corrupt(bool corrupt) { corrupt_ = corrupt; }
 

@@ -54,7 +54,7 @@ TEST_F(GeneratorNodeTest, RoutesStreamsToTheirHosts) {
       /*split_host_of_stream=*/{10, 11, 12}, &network_,
       /*record_trace=*/nullptr);
   for (Tick t = 0; t <= 1000; ++t) node.OnTicks(t, t);
-  network_.DeliverUntil(2000);
+  network_.DeliverWaves(2000);
 
   // Each host received exactly its stream, ~101 tuples each.
   EXPECT_EQ((per_host_stream_[{10, 0}]), 101);
@@ -69,7 +69,7 @@ TEST_F(GeneratorNodeTest, SharedHostGetsSeparateBatchesPerStream) {
   GeneratorNode node(0, std::make_unique<StreamGenerator>(SmallWorkload()),
                      {10, 10, 10}, &network_, nullptr);
   node.OnTicks(0, 0);
-  network_.DeliverUntil(100);
+  network_.DeliverWaves(100);
   EXPECT_EQ((per_host_stream_[{10, 0}]), 1);
   EXPECT_EQ((per_host_stream_[{10, 1}]), 1);
   EXPECT_EQ((per_host_stream_[{10, 2}]), 1);
@@ -80,7 +80,7 @@ TEST_F(GeneratorNodeTest, GenerateFalseSilencesTheSource) {
                      {10, 10, 10}, &network_, nullptr);
   node.OnTicks(0, 0, /*generate=*/false);
   node.OnTicks(1, 100, /*generate=*/false);
-  network_.DeliverUntil(200);
+  network_.DeliverWaves(200);
   EXPECT_TRUE(per_host_stream_.empty());
   EXPECT_EQ(node.source().total_emitted(), 0);
 }

@@ -62,7 +62,7 @@ class GlobalCoordinatorTest : public ::testing::Test {
     coordinator_->OnMessage(now, m);
   }
 
-  void Pump(Tick now) { network_.DeliverUntil(now); }
+  void Pump(Tick now) { network_.DeliverWaves(now); }
 
   Network network_;
   std::unique_ptr<GlobalCoordinator> coordinator_;

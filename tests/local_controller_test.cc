@@ -14,6 +14,12 @@ Tuple MakeTuple(StreamId stream, int64_t seq, JoinKey key, int payload = 50) {
   return t;
 }
 
+int64_t TotalBytes(const std::vector<SpillRequest>& plan) {
+  int64_t total = 0;
+  for (const SpillRequest& r : plan) total += r.bytes;
+  return total;
+}
+
 SpillConfig SmallSpillConfig() {
   SpillConfig config;
   config.memory_threshold_bytes = 500;
@@ -27,7 +33,7 @@ TEST(LocalControllerTest, NoSpillBelowThreshold) {
   LocalController controller(SmallSpillConfig(), ProductivityConfig{}, 1);
   StateManager state(2);
   state.ProcessTuple(0, MakeTuple(0, 1, 1, 10), nullptr);
-  EXPECT_TRUE(controller.CheckSpill(100, state).empty());
+  EXPECT_TRUE(controller.PlanSpill(100, state).empty());
 }
 
 TEST(LocalControllerTest, SpillsAboutTheConfiguredFraction) {
@@ -38,15 +44,14 @@ TEST(LocalControllerTest, SpillsAboutTheConfiguredFraction) {
     state.ProcessTuple(p, MakeTuple(0, p, p * 1000, 50), nullptr);
   }
   ASSERT_GT(state.total_bytes(), 500);
-  std::vector<PartitionId> victims = controller.CheckSpill(100, state);
-  ASSERT_FALSE(victims.empty());
-  int64_t victim_bytes = 0;
-  for (PartitionId p : victims) {
-    victim_bytes += state.FindGroup(p)->bytes();
+  std::vector<SpillRequest> plan = controller.PlanSpill(100, state);
+  ASSERT_FALSE(plan.empty());
+  for (const SpillRequest& r : plan) {
+    EXPECT_LE(r.bytes, state.FindGroup(r.partition)->bytes());
   }
   // >= 50% of state, but not all of it.
-  EXPECT_GE(victim_bytes, state.total_bytes() / 2);
-  EXPECT_LT(victim_bytes, state.total_bytes());
+  EXPECT_GE(TotalBytes(plan), state.total_bytes() / 2);
+  EXPECT_LT(TotalBytes(plan), state.total_bytes());
 }
 
 TEST(LocalControllerTest, TimerGatesChecks) {
@@ -56,10 +61,10 @@ TEST(LocalControllerTest, TimerGatesChecks) {
     state.ProcessTuple(p, MakeTuple(0, p, p * 1000, 80), nullptr);
   }
   // Timer period is 100; tick 50 must not fire.
-  EXPECT_TRUE(controller.CheckSpill(50, state).empty());
-  EXPECT_FALSE(controller.CheckSpill(100, state).empty());
+  EXPECT_TRUE(controller.PlanSpill(50, state).empty());
+  EXPECT_FALSE(controller.PlanSpill(100, state).empty());
   // Immediately after firing, the timer is re-armed.
-  EXPECT_TRUE(controller.CheckSpill(101, state).empty());
+  EXPECT_TRUE(controller.PlanSpill(101, state).empty());
 }
 
 TEST(LocalControllerTest, ForcedSpillTakesLeastProductive) {
@@ -70,10 +75,10 @@ TEST(LocalControllerTest, ForcedSpillTakesLeastProductive) {
   state.ProcessTuple(0, MakeTuple(1, 2, 100, 30), nullptr);  // 1 result
   state.ProcessTuple(1, MakeTuple(0, 3, 2000, 30), nullptr);
 
-  std::vector<PartitionId> victims =
-      controller.ChooseForcedSpillVictims(state, 1);
-  ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], 1);
+  std::vector<SpillRequest> plan = controller.PlanForcedSpill(state, 1);
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].partition, 1);
+  EXPECT_EQ(TotalBytes(plan), 1);
 }
 
 TEST(LocalControllerTest, RelocationPrefersMostProductive) {
@@ -96,8 +101,8 @@ TEST(LocalControllerTest, LockedGroupsNeverSelected) {
     state.ProcessTuple(p, MakeTuple(0, p, p * 1000, 200), nullptr);
   }
   state.LockGroups({0, 1, 2, 3});
-  EXPECT_TRUE(controller.CheckSpill(100, state).empty());
-  EXPECT_TRUE(controller.ChooseForcedSpillVictims(state, 1000).empty());
+  EXPECT_TRUE(controller.PlanSpill(100, state).empty());
+  EXPECT_TRUE(controller.PlanForcedSpill(state, 1000).empty());
   EXPECT_TRUE(controller.ChoosePartitionsToMove(state, 1000).empty());
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "storage/disk_backend.h"
 
@@ -24,6 +26,20 @@ class MJoinTest : public ::testing::Test {
       : store_(0, SpillStore::Config{}, std::make_unique<MemoryDiskBackend>()),
         join_(3, &store_) {}
 
+  static constexpr int64_t kNoSplit = std::numeric_limits<int64_t>::max();
+
+  /// Spills each of `partitions` whole, one segment per group: the plan
+  /// the local controller makes when its target covers every group.
+  StatusOr<MJoin::SpillOutcome> SpillWhole(
+      const std::vector<PartitionId>& partitions, Tick now) {
+    std::vector<SpillRequest> plan;
+    for (PartitionId p : partitions) {
+      const PartitionGroup* group = join_.state().FindGroup(p);
+      plan.push_back(SpillRequest{p, group->bytes(), /*whole_group=*/true});
+    }
+    return join_.SpillGradual(plan, now, kNoSplit, /*max_depth=*/0);
+  }
+
   SpillStore store_;
   MJoin join_;
 };
@@ -42,7 +58,7 @@ TEST_F(MJoinTest, SpillFreezesGroupsToDisk) {
   join_.Process(2, MakeTuple(0, 2, 200), nullptr);
   const int64_t bytes_before = join_.state().total_bytes();
 
-  StatusOr<MJoin::SpillOutcome> outcome = join_.SpillPartitions({1}, 50);
+  StatusOr<MJoin::SpillOutcome> outcome = SpillWhole({1}, 50);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->groups, 1);
   EXPECT_EQ(outcome->tuples, 1);
@@ -57,7 +73,7 @@ TEST_F(MJoinTest, SpillFreezesGroupsToDisk) {
 TEST_F(MJoinTest, SpillSkipsLockedGroups) {
   join_.Process(1, MakeTuple(0, 1, 100), nullptr);
   join_.state().LockGroups({1});
-  StatusOr<MJoin::SpillOutcome> outcome = join_.SpillPartitions({1}, 0);
+  StatusOr<MJoin::SpillOutcome> outcome = SpillWhole({1}, 0);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->groups, 0);
   EXPECT_EQ(join_.state().group_count(), 1);
@@ -65,7 +81,7 @@ TEST_F(MJoinTest, SpillSkipsLockedGroups) {
 
 TEST_F(MJoinTest, NewGenerationGrowsAfterSpill) {
   join_.Process(1, MakeTuple(0, 1, 100), nullptr);
-  ASSERT_TRUE(join_.SpillPartitions({1}, 0).ok());
+  ASSERT_TRUE(SpillWhole({1}, 0).ok());
   EXPECT_EQ(join_.state().group_count(), 0);
   // New tuples with the same partition id form a fresh group; they do NOT
   // see the spilled state (that's the cleanup's job).
@@ -75,13 +91,15 @@ TEST_F(MJoinTest, NewGenerationGrowsAfterSpill) {
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(join_.state().group_count(), 1);
   // A second spill of the same partition creates another generation.
-  ASSERT_TRUE(join_.SpillPartitions({1}, 10).ok());
+  ASSERT_TRUE(SpillWhole({1}, 10).ok());
   EXPECT_EQ(store_.segments().size(), 2u);
 }
 
 TEST(MJoinWithoutStoreTest, SpillFailsPrecondition) {
   MJoin join(2, nullptr);
-  EXPECT_EQ(join.SpillPartitions({0}, 0).status().code(),
+  const std::vector<SpillRequest> plan = {
+      SpillRequest{0, 1, /*whole_group=*/true}};
+  EXPECT_EQ(join.SpillGradual(plan, 0, 1, 0).status().code(),
             StatusCode::kFailedPrecondition);
 }
 

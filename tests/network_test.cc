@@ -50,9 +50,9 @@ TEST_F(NetworkTest, LatencyDelaysDelivery) {
 
   // latency 5 + minimum 1 tick of transfer time for a non-empty message.
   net.Send(SmallMessage(0, 1), /*now=*/10);
-  net.DeliverUntil(15);
+  net.DeliverWaves(15);
   EXPECT_TRUE(deliveries_.empty());
-  net.DeliverUntil(16);
+  net.DeliverWaves(16);
   ASSERT_EQ(deliveries_.size(), 1u);
   EXPECT_EQ(deliveries_[0].at, 16);
 }
@@ -66,9 +66,9 @@ TEST_F(NetworkTest, BandwidthAddsTransferTime) {
 
   // ~1000 bytes payload → ≈10 extra ticks.
   net.Send(BigTupleMessage(0, 1, 1000), /*now=*/0);
-  net.DeliverUntil(9);
+  net.DeliverWaves(9);
   EXPECT_TRUE(deliveries_.empty());
-  net.DeliverUntil(30);
+  net.DeliverWaves(30);
   ASSERT_EQ(deliveries_.size(), 1u);
   EXPECT_GE(deliveries_[0].at, 11);
 }
@@ -82,7 +82,7 @@ TEST_F(NetworkTest, LinkIsFifoEvenWhenLaterMessageIsSmaller) {
 
   net.Send(BigTupleMessage(0, 1, 2000), /*now=*/0);  // arrives late
   net.Send(SmallMessage(0, 1), /*now=*/1);           // would arrive early
-  net.DeliverUntil(10000);
+  net.DeliverWaves(10000);
   ASSERT_EQ(deliveries_.size(), 2u);
   EXPECT_EQ(deliveries_[0].type, MessageType::kTupleBatch);
   EXPECT_EQ(deliveries_[1].type, MessageType::kStatsReport);
@@ -99,7 +99,8 @@ TEST_F(NetworkTest, DistinctLinksDoNotBlockEachOther) {
 
   net.Send(BigTupleMessage(0, 1, 5000), /*now=*/0);
   net.Send(SmallMessage(0, 2), /*now=*/1);
-  net.DeliverUntil(10000);
+  // Tick by tick, as the simulator delivers.
+  for (Tick now = 0; now <= 10000; ++now) net.DeliverWaves(now);
   ASSERT_EQ(deliveries_.size(), 2u);
   // The small message on the other link overtakes.
   EXPECT_EQ(deliveries_[0].node, 2);
@@ -146,18 +147,21 @@ TEST_F(NetworkTest, StateTransferBytesTrackedSeparately) {
   EXPECT_GT(net.stats().state_transfer_bytes, 1000);
 }
 
-TEST_F(NetworkTest, NextArrivalAndIdle) {
+TEST_F(NetworkTest, IdleOnceEveryMessageIsDelivered) {
   Network::Config config;
   config.latency_ticks = 3;
   config.bytes_per_tick = 1 << 30;
   Network net(config);
   Register(&net, 1);
   EXPECT_TRUE(net.idle());
-  EXPECT_EQ(net.NextArrival(), -1);
   net.Send(SmallMessage(0, 1), 4);
   EXPECT_FALSE(net.idle());
-  EXPECT_EQ(net.NextArrival(), 8);  // latency 3 + 1 transfer tick
-  net.DeliverUntil(8);
+  net.DeliverWaves(7);
+  EXPECT_TRUE(deliveries_.empty());
+  EXPECT_FALSE(net.idle());
+  net.DeliverWaves(8);  // latency 3 + 1 transfer tick
+  ASSERT_EQ(deliveries_.size(), 1u);
+  EXPECT_EQ(deliveries_[0].at, 8);
   EXPECT_TRUE(net.idle());
 }
 
@@ -174,7 +178,7 @@ TEST_F(NetworkTest, HandlersCanSendDuringDelivery) {
     second_hop_at = static_cast<int>(now);
   });
   net.Send(SmallMessage(0, 1), 0);
-  net.DeliverUntil(10);
+  net.DeliverWaves(10);
   EXPECT_EQ(second_hop_at, 4);  // two hops of latency 1 + transfer 1
 }
 

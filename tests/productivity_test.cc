@@ -141,9 +141,13 @@ TEST(LocalControllerEwmaTest, EwmaChangesSpillChoice) {
   // id-tiebreak (partition 0 == the stale one, coincidentally). EWMA:
   // partition 0's rate decayed, partition 1's is fresh → victim must be
   // partition 0, *not* partition 1.
-  std::vector<PartitionId> ewma_victims = ewma.CheckSpill(10, ewma_state);
-  ASSERT_EQ(ewma_victims.size(), 1u);
-  EXPECT_EQ(ewma_victims[0], 0);
+  std::vector<SpillRequest> ewma_plan = ewma.PlanSpill(10, ewma_state);
+  ASSERT_EQ(ewma_plan.size(), 1u);
+  EXPECT_EQ(ewma_plan[0].partition, 0);
+  EXPECT_EQ(ewma_plan[0].bytes,
+            SpillTargetBytes(ewma_state.total_bytes(),
+                             spill.memory_threshold_bytes,
+                             spill.spill_fraction));
   // And the relocation choice flips accordingly (most productive moves).
   std::vector<PartitionId> move = ewma.ChoosePartitionsToMove(ewma_state, 1);
   ASSERT_EQ(move.size(), 1u);

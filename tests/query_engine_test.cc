@@ -77,7 +77,7 @@ class QueryEngineTest : public ::testing::Test {
 
   void Deliver(Tick now, Message m) {
     engine_->OnMessage(now, m);
-    network_.DeliverUntil(now + 5);
+    network_.DeliverWaves(now + 5);
   }
 
   void SendTuples(Tick now, const std::vector<Tuple>& tuples) {
@@ -100,7 +100,7 @@ TEST_F(QueryEngineTest, ProcessesTuplesAndShipsResults) {
   Build(AdaptationStrategy::kNoAdaptation);
   SendTuples(0, {TupleFor(0, 1, 3)});
   SendTuples(1, {TupleFor(1, 2, 3)});
-  network_.DeliverUntil(10);
+  network_.DeliverWaves(10);
   ASSERT_EQ(results_.size(), 1u);
   EXPECT_EQ(results_[0].partition, 3);
   EXPECT_EQ(engine_->counters().tuples_processed, 2);
@@ -111,7 +111,7 @@ TEST_F(QueryEngineTest, StatsReportedPeriodically) {
   Build(AdaptationStrategy::kNoAdaptation);
   SendTuples(0, {TupleFor(0, 1, 3)});
   engine_->OnTick(100);
-  network_.DeliverUntil(110);
+  network_.DeliverWaves(110);
   ASSERT_EQ(coordinator_inbox_.size(), 1u);
   const auto& report = std::get<StatsReport>(coordinator_inbox_[0].payload);
   EXPECT_EQ(report.engine, 0);
@@ -182,7 +182,7 @@ TEST_F(QueryEngineTest, ForceSpillRepliesWithSpilledBytes) {
   m.to = kEngineNode;
   m.payload = ForceSpill{/*amount_bytes=*/300};
   Deliver(5, std::move(m));
-  network_.DeliverUntil(20);
+  network_.DeliverWaves(20);
 
   ASSERT_EQ(coordinator_inbox_.size(), 1u);
   const auto& done = std::get<SpillComplete>(coordinator_inbox_[0].payload);
@@ -205,7 +205,7 @@ TEST_F(QueryEngineTest, RelocationSenderFullFlow) {
   cptv.payload = ComputePartitionsToMove{/*relocation_id=*/7,
                                          /*amount_bytes=*/1, /*receiver=*/1};
   Deliver(10, std::move(cptv));
-  network_.DeliverUntil(15);
+  network_.DeliverWaves(15);
 
   // Step 2: the reply names the most productive partition (3), locked.
   ASSERT_EQ(coordinator_inbox_.size(), 1u);
@@ -236,7 +236,7 @@ TEST_F(QueryEngineTest, RelocationSenderFullFlow) {
   marker.to = kEngineNode;
   marker.payload = DrainMarker{7, kSplitHostNode};
   Deliver(31, std::move(marker));
-  network_.DeliverUntil(40);
+  network_.DeliverWaves(40);
 
   // Step 6: the serialized state went to the receiver.
   ASSERT_EQ(peer_inbox_.size(), 1u);
@@ -268,7 +268,7 @@ TEST_F(QueryEngineTest, ReceiverInstallsStateAndAcks) {
   transfer.groups.push_back(SerializedGroup{5, extracted[0].blob});
   m.payload = std::move(transfer);
   Deliver(50, std::move(m));
-  network_.DeliverUntil(60);
+  network_.DeliverWaves(60);
 
   EXPECT_NE(engine_->mjoin().state().FindGroup(5), nullptr);
   EXPECT_EQ(engine_->counters().relocations_in, 1);
@@ -279,7 +279,7 @@ TEST_F(QueryEngineTest, ReceiverInstallsStateAndAcks) {
 
   // Installed state joins with new input.
   SendTuples(70, {TupleFor(0, 10, 5)});
-  network_.DeliverUntil(80);
+  network_.DeliverWaves(80);
   EXPECT_FALSE(results_.empty());
 }
 

@@ -60,7 +60,7 @@ TEST(RelocationModelTest, GlobalRebalancePlansMultipleMoves) {
   report(3, 500);
 
   coordinator.OnTick(10);
-  network.DeliverUntil(20);
+  network.DeliverWaves(20);
   // First move started: engine 0 (largest surplus) asked to move.
   ASSERT_EQ(engine_inbox.size(), 1u);
   EXPECT_EQ(engine_inbox[0].first, 0);
@@ -79,7 +79,7 @@ TEST(RelocationModelTest, GlobalRebalancePlansMultipleMoves) {
   abort_msg.to = 10;
   abort_msg.payload = reply;
   coordinator.OnMessage(21, abort_msg);
-  network.DeliverUntil(30);
+  network.DeliverWaves(30);
   ASSERT_GE(engine_inbox.size(), 2u);
   EXPECT_EQ(engine_inbox[1].second.type,
             MessageType::kComputePartitionsToMove);

@@ -120,7 +120,6 @@ class FailingBackend : public DiskBackend {
   Status Remove(const std::string& name) override {
     return Status::NotFound(name);
   }
-  std::vector<std::string> List() const override { return {}; }
 
  private:
   std::string error_;

@@ -66,7 +66,7 @@ class SplitHostTest : public ::testing::Test {
     batch.tuples = std::move(tuples);
     Message m = MakeTupleBatchMessage(30, 20, std::move(batch));
     host->OnMessage(now, m);
-    network_.DeliverUntil(now + 5);
+    network_.DeliverWaves(now + 5);
   }
 
   Network network_;
@@ -104,7 +104,7 @@ TEST_F(SplitHostTest, PauseBuffersAndEmitsMarkerAndAck) {
   m.to = 20;
   m.payload = pause;
   host.OnMessage(0, m);
-  network_.DeliverUntil(10);
+  network_.DeliverWaves(10);
 
   // Drain marker went to the old owner, ack to the coordinator.
   ASSERT_EQ(engine0_other_.size(), 1u);
@@ -128,7 +128,7 @@ TEST_F(SplitHostTest, PauseBuffersAndEmitsMarkerAndAck) {
   um.to = 20;
   um.payload = update;
   host.OnMessage(20, um);
-  network_.DeliverUntil(30);
+  network_.DeliverWaves(30);
   EXPECT_EQ(host.total_buffered(), 0);
   EXPECT_EQ(engine1_tuples_, 1);
   ASSERT_EQ(coordinator_inbox_.size(), 2u);
