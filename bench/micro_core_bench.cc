@@ -243,6 +243,42 @@ void BM_NetworkSendDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendDeliver);
 
+/// The shape Cluster::StepTick delivers: every tick 3 sources send to 4
+/// destinations, each destination forwards every message it gets once,
+/// to a sink, and DeliverWaves runs the tick's waves. items/s = messages
+/// delivered.
+void BM_NetworkWaves(benchmark::State& state) {
+  constexpr NodeId kSources = 3;
+  constexpr NodeId kSink = kSources + 4;
+  Network::Config config;
+  config.latency_ticks = 1;
+  Network net(config);
+  int64_t delivered = 0;
+  for (NodeId d = kSources; d < kSink; ++d) {
+    net.RegisterNode(d, [&net, &delivered, d](Tick now, Message& m) {
+      ++delivered;
+      m.from = d;
+      m.to = kSink;
+      net.Send(std::move(m), now);
+    });
+  }
+  net.RegisterNode(kSink, [&delivered](Tick, const Message&) { ++delivered; });
+  StatsReport report;
+  Tick now = 0;
+  for (auto _ : state) {
+    for (NodeId s = 0; s < kSources; ++s) {
+      for (NodeId d = kSources; d < kSink; ++d) {
+        net.Send(MakeStatsReportMessage(s, d, report), now);
+      }
+    }
+    net.DeliverWaves(now);
+    ++now;
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(delivered);
+}
+BENCHMARK(BM_NetworkWaves);
+
 void BM_StreamGeneratorEmit(benchmark::State& state) {
   WorkloadConfig config;
   config.num_streams = 3;

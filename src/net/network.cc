@@ -1,13 +1,18 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/check.h"
 
 namespace dcape {
 
 void Network::RegisterNode(NodeId node, Handler handler) {
-  handlers_[node] = std::move(handler);
+  DCAPE_CHECK_GE(node, 0);
+  if (static_cast<size_t>(node) >= handlers_.size()) {
+    handlers_.resize(static_cast<size_t>(node) + 1);
+  }
+  handlers_[static_cast<size_t>(node)] = std::move(handler);
 }
 
 void Network::SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
@@ -16,13 +21,20 @@ void Network::SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
   fault_duplicate_ = std::move(duplicate);
 }
 
-void Network::Send(Message message, Tick now) {
-  DCAPE_CHECK_NE(message.from, kInvalidNode);
-  DCAPE_CHECK_NE(message.to, kInvalidNode);
-  Enqueue(std::move(message), now);
+Tick& Network::LinkLastArrival(NodeId from, NodeId to) {
+  if (static_cast<size_t>(from) >= link_last_arrival_.size()) {
+    link_last_arrival_.resize(static_cast<size_t>(from) + 1);
+  }
+  std::vector<Tick>& row = link_last_arrival_[static_cast<size_t>(from)];
+  if (static_cast<size_t>(to) >= row.size()) {
+    row.resize(static_cast<size_t>(to) + 1, kNoArrival);
+  }
+  return row[static_cast<size_t>(to)];
 }
 
-void Network::Enqueue(Message message, Tick now) {
+void Network::Send(Message message, Tick now) {
+  DCAPE_CHECK_GE(message.from, 0);
+  DCAPE_CHECK_GE(message.to, 0);
   message.send_time = now;
 
   const int64_t bytes = message.ByteSize();
@@ -37,12 +49,9 @@ void Network::Enqueue(Message message, Tick now) {
 
   // FIFO per directed link: never schedule ahead of an earlier message on
   // the same link (TCP in-order delivery).
-  const std::pair<NodeId, NodeId> link{message.from, message.to};
-  auto it = link_last_arrival_.find(link);
-  if (it != link_last_arrival_.end()) {
-    arrival = std::max(arrival, it->second);
-  }
-  link_last_arrival_[link] = arrival;
+  Tick& link_last = LinkLastArrival(message.from, message.to);
+  arrival = std::max(arrival, link_last);
+  link_last = arrival;
 
   stats_.messages_sent += 1;
   stats_.bytes_sent += bytes;
@@ -50,56 +59,71 @@ void Network::Enqueue(Message message, Tick now) {
     stats_.state_transfer_bytes += bytes;
   }
 
-  const bool duplicate = fault_duplicate_ && fault_duplicate_(message);
-  Message copy;
-  if (duplicate) copy = message;
-  heap_.push_back(InFlight{arrival, next_sequence_++, std::move(message)});
-  std::push_heap(heap_.begin(), heap_.end(), LaterArrival{});
-  if (duplicate) {
-    const Tick dup_arrival = arrival + 1;
-    link_last_arrival_[link] = dup_arrival;
+  if (fault_duplicate_ && fault_duplicate_(message)) {
+    Message copy = message;
+    Enqueue(std::move(message), arrival);
+    link_last = arrival + 1;
     stats_.messages_sent += 1;
     stats_.bytes_sent += bytes;
-    heap_.push_back(InFlight{dup_arrival, next_sequence_++, std::move(copy)});
-    std::push_heap(heap_.begin(), heap_.end(), LaterArrival{});
+    Enqueue(std::move(copy), arrival + 1);
+    return;
   }
+  Enqueue(std::move(message), arrival);
+}
+
+void Network::Enqueue(Message&& message, Tick arrival) {
+  const NodeId to = message.to;
+  int32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<int32_t>(slots_.size());
+    slots_.push_back(std::move(message));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[static_cast<size_t>(slot)] = std::move(message);
+  }
+  heap_.push_back(InFlight{arrival, next_sequence_++, to, slot});
+  std::push_heap(heap_.begin(), heap_.end(), LaterArrival{});
 }
 
 Network::InFlight Network::PopEarliest() {
   std::pop_heap(heap_.begin(), heap_.end(), LaterArrival{});
-  InFlight item = std::move(heap_.back());
+  const InFlight item = heap_.back();
   heap_.pop_back();
   return item;
 }
 
+void Network::Deliver(const InFlight& item) {
+  DCAPE_CHECK_LT(static_cast<size_t>(item.to), handlers_.size());
+  const Handler& handler = handlers_[static_cast<size_t>(item.to)];
+  DCAPE_CHECK(handler);
+  Message message = std::move(slots_[static_cast<size_t>(item.slot)]);
+  free_slots_.push_back(item.slot);
+  handler(item.arrival, message);
+}
+
 void Network::DeliverUntil(Tick now) {
   while (!heap_.empty() && heap_.front().arrival <= now) {
-    InFlight item = PopEarliest();
-    auto it = handlers_.find(item.message.to);
-    DCAPE_CHECK(it != handlers_.end());
-    it->second(item.arrival, item.message);
+    Deliver(PopEarliest());
   }
 }
 
 void Network::DeliverWaves(Tick now) {
-  std::vector<InFlight> wave;
   while (!heap_.empty() && heap_.front().arrival <= now) {
-    wave.clear();
+    wave_.clear();
     while (!heap_.empty() && heap_.front().arrival <= now) {
-      wave.push_back(PopEarliest());
+      wave_.push_back(PopEarliest());
     }
-    // The wave is in (arrival, sequence) order; a stable sort by
-    // destination keeps that order within each destination's messages.
-    // Sends made below enter the heap and wait for the next wave.
-    std::stable_sort(wave.begin(), wave.end(),
-                     [](const InFlight& a, const InFlight& b) {
-                       return a.message.to < b.message.to;
-                     });
-    for (InFlight& item : wave) {
-      auto it = handlers_.find(item.message.to);
-      DCAPE_CHECK(it != handlers_.end());
-      it->second(item.arrival, item.message);
-    }
+    // Sequences are unique, so ordering by (to, arrival, sequence) is
+    // exactly a stable sort of the (arrival, sequence)-ordered wave by
+    // destination. Sends made below enter the heap and wait for the next
+    // wave.
+    std::sort(wave_.begin(), wave_.end(),
+              [](const InFlight& a, const InFlight& b) {
+                return std::tie(a.to, a.arrival, a.sequence) <
+                       std::tie(b.to, b.arrival, b.sequence);
+              });
+    for (const InFlight& item : wave_) Deliver(item);
   }
 }
 

@@ -3,8 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <utility>
+#include <limits>
 #include <vector>
 
 #include "common/ids.h"
@@ -56,9 +55,9 @@ class Network : public Transport {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Registers the delivery handler for `node`. Must be called before any
-  /// message addressed to `node` is delivered. Re-registering replaces the
-  /// handler.
+  /// Registers the delivery handler for `node` (>= 0; ids index a table,
+  /// so keep them dense). Must be called before any message addressed to
+  /// `node` is delivered. Re-registering replaces the handler.
   void RegisterNode(NodeId node, Handler handler) override;
 
   /// Chaos hooks (sim/). `extra_delay` adds ticks to a message's arrival
@@ -71,8 +70,8 @@ class Network : public Transport {
   void SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
                      std::function<bool(const Message&)> duplicate);
 
-  /// Enqueues `message` for delivery. `message.from/to` must be set and
-  /// `to` must name a registered node by delivery time.
+  /// Enqueues `message` for delivery. `message.from/to` must be set (>= 0)
+  /// and `to` must name a registered node by delivery time.
   void Send(Message message, Tick now) override;
 
   /// Delivers every message whose arrival tick is <= `now` in one global
@@ -97,10 +96,14 @@ class Network : public Transport {
   const Config& config() const { return config_; }
 
  private:
+  /// Heap entry of one in-flight message: its delivery key and the slot
+  /// in `slots_` where the message waits. Heap and wave shuffles move
+  /// these 24 bytes, never the message.
   struct InFlight {
     Tick arrival;
     int64_t sequence;  // global tie-breaker for determinism
-    Message message;
+    NodeId to;
+    int32_t slot;
   };
   struct LaterArrival {
     bool operator()(const InFlight& a, const InFlight& b) const {
@@ -109,20 +112,34 @@ class Network : public Transport {
       return a.sequence > b.sequence;
     }
   };
-  /// Assigns arrival/sequence and pushes onto the delivery heap.
-  void Enqueue(Message message, Tick now);
-  /// Pops the earliest in-flight message off the heap.
+  /// Parks `message` in a free slot (or a new one) and heap-orders its key.
+  void Enqueue(Message&& message, Tick arrival);
+  /// Pops the earliest in-flight key off the heap.
   InFlight PopEarliest();
+  /// Moves the message out of `item`'s slot, frees the slot and runs the
+  /// destination's handler; the handler may Send, which may grow `slots_`.
+  void Deliver(const InFlight& item);
+  /// Last scheduled arrival on the directed link (from, to), for FIFO
+  /// enforcement; kNoArrival until the link carries a message.
+  Tick& LinkLastArrival(NodeId from, NodeId to);
+
+  static constexpr Tick kNoArrival = std::numeric_limits<Tick>::min();
 
   Config config_;
-  std::map<NodeId, Handler> handlers_;
+  /// Delivery handlers indexed by NodeId (node ids are dense); an empty
+  /// function marks an unregistered id.
+  std::vector<Handler> handlers_;
   std::function<Tick(const Message&)> fault_extra_delay_;
   std::function<bool(const Message&)> fault_duplicate_;
-  /// Min-heap over (arrival, sequence), via std::push_heap/std::pop_heap
-  /// so entries can be *moved* out on delivery.
+  /// In-flight messages by slot, and the slots free for reuse.
+  std::vector<Message> slots_;
+  std::vector<int32_t> free_slots_;
+  /// Min-heap over (arrival, sequence), via std::push_heap/std::pop_heap.
   std::vector<InFlight> heap_;
-  /// Last scheduled arrival per directed link, for FIFO enforcement.
-  std::map<std::pair<NodeId, NodeId>, Tick> link_last_arrival_;
+  /// DeliverWaves' current wave, kept to reuse its capacity.
+  std::vector<InFlight> wave_;
+  /// `link_last_arrival_[from][to]`, grown on first use of a link.
+  std::vector<std::vector<Tick>> link_last_arrival_;
   int64_t next_sequence_ = 0;
   Stats stats_;
 };

@@ -45,20 +45,6 @@ Histogram* MetricsRegistry::AddHistogram(const char* name, int entity) {
   return cell;
 }
 
-std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
-  std::vector<Sample> samples;
-  samples.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    Sample s;
-    s.name = e.name;
-    s.entity = e.entity;
-    s.index = e.index;
-    s.value = e.counter != nullptr ? e.counter->value() : e.gauge->value();
-    samples.push_back(s);
-  }
-  return samples;
-}
-
 int64_t MetricsRegistry::Value(std::string_view name, int entity,
                                int index) const {
   for (const Entry& e : entries_) {

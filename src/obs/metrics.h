@@ -51,7 +51,7 @@ class Gauge {
 /// stream id), -1 when unused.
 ///
 /// Registration happens at construction time on one thread; updates
-/// follow the per-node ownership contract above; snapshots are taken
+/// follow the per-node ownership contract above; reads are taken
 /// between ticks, or after the realtime driver joins its threads (never
 /// concurrently with updates).
 class MetricsRegistry {
@@ -68,19 +68,6 @@ class MetricsRegistry {
                       int index = -1);
   Gauge* AddGauge(const char* name, int entity = kCluster, int index = -1);
   Histogram* AddHistogram(const char* name, int entity = kCluster);
-
-  /// One registered scalar cell's identity and current value.
-  struct Sample {
-    const char* name = nullptr;
-    int entity = kCluster;
-    int index = -1;
-    int64_t value = 0;
-  };
-
-  /// All counters and gauges, in registration order, with their values
-  /// at call time. Deterministic: registration order is construction
-  /// order, which is a pure function of the configuration.
-  std::vector<Sample> Snapshot() const;
 
   /// Value of one scalar cell; 0 when not registered.
   int64_t Value(std::string_view name, int entity = kCluster,

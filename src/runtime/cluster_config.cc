@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/ids.h"
+#include "stream/stream_generator.h"
 #include "stream/trace.h"
 
 namespace dcape {
@@ -81,6 +82,20 @@ Status ClusterConfig::Builder::Validate() const {
   }
   if (c.workload.num_partitions < 1) {
     return Status::InvalidArgument("--partitions must be >= 1");
+  }
+  for (const PartitionClass& cls : c.workload.classes) {
+    // KeysPerPartition rounds tuple_range / (join_rate * partitions) to
+    // the nearest key count, which must stay below the partition's key
+    // range (StreamGenerator::kKeyStride). NaN fails every comparison.
+    if (!(cls.join_rate > 0) || cls.tuple_range < 1 ||
+        !(static_cast<double>(cls.tuple_range) /
+              (cls.join_rate * c.workload.num_partitions) <
+          static_cast<double>(StreamGenerator::kKeyStride) - 0.5)) {
+      return Status::InvalidArgument(
+          "--join-rate must be > 0 and --tuple-range >= 1, and "
+          "--tuple-range / (--join-rate * --partitions) must be below 2^20 "
+          "keys per partition");
+    }
   }
   if (c.workload.inter_arrival_ticks < 1) {
     return Status::InvalidArgument("--inter-arrival-ms must be >= 1");

@@ -1,6 +1,6 @@
 #include "runtime/generator_node.h"
 
-#include <map>
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -18,33 +18,43 @@ GeneratorNode::GeneratorNode(NodeId node_id,
       network_(network) {
   DCAPE_CHECK(source_ != nullptr);
   DCAPE_CHECK(network_ != nullptr);
+  const int num_streams = source_->num_streams();
   DCAPE_CHECK_EQ(split_host_of_stream_.size(),
-                 static_cast<size_t>(source_->num_streams()));
+                 static_cast<size_t>(num_streams));
+  for (StreamId s = 0; s < num_streams; ++s) send_order_.push_back(s);
+  std::stable_sort(send_order_.begin(), send_order_.end(),
+                   [this](StreamId a, StreamId b) {
+                     return split_host_of_stream_[static_cast<size_t>(a)] <
+                            split_host_of_stream_[static_cast<size_t>(b)];
+                   });
+  pending_.resize(static_cast<size_t>(num_streams));
   if (record_trace != nullptr) {
-    trace_writer_ =
-        std::make_unique<TraceWriter>(source_->num_streams(), record_trace);
+    trace_writer_ = std::make_unique<TraceWriter>(num_streams, record_trace);
   }
 }
 
 void GeneratorNode::OnTicks(Tick first, Tick last, bool generate) {
   if (!generate) return;
   DCAPE_CHECK_LE(first, last);
-  std::map<std::pair<NodeId, StreamId>, TupleBatch> batches;
   for (Tick now = first; now <= last; ++now) {
     for (Tuple& t : source_->EmitForTick(now)) {
       if (trace_writer_ != nullptr) trace_writer_->Append(now, t);
-      const NodeId host =
-          split_host_of_stream_[static_cast<size_t>(t.stream_id)];
-      TupleBatch& batch = batches[{host, t.stream_id}];
-      batch.stream_id = t.stream_id;
-      batch.tuples.push_back(std::move(t));
+      pending_[static_cast<size_t>(t.stream_id)].push_back(std::move(t));
     }
   }
-  for (auto& [key, batch] : batches) {
+  for (StreamId s : send_order_) {
+    std::vector<Tuple>& tuples = pending_[static_cast<size_t>(s)];
+    if (tuples.empty()) continue;
+    TupleBatch batch;
+    batch.stream_id = s;
     batch.emit_wall_us = emit_wall_us_;
-    network_->Send(MakeTupleBatchMessage(node_id_, key.first,
-                                         std::move(batch)),
-                   last);
+    batch.tuples = std::move(tuples);
+    tuples.clear();
+    network_->Send(
+        MakeTupleBatchMessage(
+            node_id_, split_host_of_stream_[static_cast<size_t>(s)],
+            std::move(batch)),
+        last);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "net/transport.h"
 #include "stream/input_source.h"
 #include "stream/trace.h"
+#include "tuple/tuple.h"
 
 namespace dcape {
 
@@ -55,6 +56,10 @@ class GeneratorNode {
   NodeId node_id_;
   std::unique_ptr<InputSource> source_;
   std::vector<NodeId> split_host_of_stream_;
+  /// Stream ids in (split host, stream) order: the order OnTicks sends in.
+  std::vector<StreamId> send_order_;
+  /// OnTicks' tuples per stream, reused across calls.
+  std::vector<std::vector<Tuple>> pending_;
   Transport* network_;
   std::unique_ptr<TraceWriter> trace_writer_;
   int64_t emit_wall_us_ = 0;

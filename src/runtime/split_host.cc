@@ -1,5 +1,6 @@
 #include "runtime/split_host.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -13,8 +14,14 @@ SplitHost::SplitHost(const SplitHostConfig& config,
     : config_(config), network_(network) {
   DCAPE_CHECK(network_ != nullptr);
   DCAPE_CHECK(!config_.streams.empty());
-  for (StreamId s : config_.streams) {
-    splits_.emplace(s, std::make_unique<Split>(s, placement));
+  std::vector<StreamId> hosted = config_.streams;
+  std::sort(hosted.begin(), hosted.end());
+  hosted.erase(std::unique(hosted.begin(), hosted.end()), hosted.end());
+  DCAPE_CHECK_GE(hosted.front(), 0);
+  split_of_stream_.resize(static_cast<size_t>(hosted.back()) + 1, nullptr);
+  for (StreamId s : hosted) {
+    splits_.push_back(std::make_unique<Split>(s, placement));
+    split_of_stream_[static_cast<size_t>(s)] = splits_.back().get();
   }
   if (!config_.select_per_stream.empty()) {
     DCAPE_CHECK_EQ(config_.select_per_stream.size(), config_.streams.size());
@@ -31,35 +38,66 @@ SplitHost::SplitHost(const SplitHostConfig& config,
 }
 
 Split& SplitHost::split(StreamId stream) {
-  auto it = splits_.find(stream);
-  DCAPE_CHECK(it != splits_.end());
-  return *it->second;
+  DCAPE_CHECK(HostsStream(stream));
+  return *split_of_stream_[static_cast<size_t>(stream)];
 }
 
 const Split& SplitHost::split(StreamId stream) const {
-  auto it = splits_.find(stream);
-  DCAPE_CHECK(it != splits_.end());
-  return *it->second;
+  DCAPE_CHECK(HostsStream(stream));
+  return *split_of_stream_[static_cast<size_t>(stream)];
+}
+
+void SplitHost::SendBatch(Tick now, EngineId engine, StreamId stream,
+                          std::vector<Tuple> tuples, int64_t emit_wall_us) {
+  TupleBatch batch;
+  batch.stream_id = stream;
+  batch.tuples = std::move(tuples);
+  batch.emit_wall_us = emit_wall_us;
+  network_->Send(MakeTupleBatchMessage(config_.node_id,
+                                       static_cast<NodeId>(engine),
+                                       std::move(batch)),
+                 now);
 }
 
 void SplitHost::RouteAndSend(Tick now, std::vector<Tuple> tuples,
                              int64_t emit_wall_us) {
-  std::map<std::pair<EngineId, StreamId>, TupleBatch> batches;
-  for (Tuple& tuple : tuples) {
-    Split& split = this->split(tuple.stream_id);
-    std::optional<EngineId> engine = split.Route(tuple);
-    if (!engine.has_value()) continue;  // buffered (paused partition)
-    TupleBatch& batch = batches[{*engine, tuple.stream_id}];
-    batch.stream_id = tuple.stream_id;
-    batch.tuples.push_back(std::move(tuple));
+  if (tuples.empty()) return;
+  // Route every tuple first; a paused partition's split buffers the tuple
+  // and names no engine. When all of them go to one engine on one stream,
+  // the vector ships whole as the call's one batch.
+  const StreamId first_stream = tuples.front().stream_id;
+  bool one_batch = true;
+  routes_.clear();
+  for (const Tuple& tuple : tuples) {
+    const EngineId engine =
+        split(tuple.stream_id).Route(tuple).value_or(kBuffered);
+    routes_.push_back(engine);
+    one_batch = one_batch && engine != kBuffered &&
+                engine == routes_.front() && tuple.stream_id == first_stream;
   }
-  for (auto& [key, batch] : batches) {
-    batch.emit_wall_us = emit_wall_us;
-    network_->Send(MakeTupleBatchMessage(config_.node_id,
-                                         static_cast<NodeId>(key.first),
-                                         std::move(batch)),
-                   now);
+  if (one_batch) {
+    SendBatch(now, routes_.front(), first_stream, std::move(tuples),
+              emit_wall_us);
+    return;
   }
+  const size_t stride = split_of_stream_.size();
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (routes_[i] == kBuffered) continue;
+    const size_t index = static_cast<size_t>(routes_[i]) * stride +
+                         static_cast<size_t>(tuples[i].stream_id);
+    if (index >= buckets_.size()) buckets_.resize(index + 1);
+    if (buckets_[index].empty()) touched_.push_back(index);
+    buckets_[index].push_back(std::move(tuples[i]));
+  }
+  // Ascending bucket index is ascending (engine, stream).
+  std::sort(touched_.begin(), touched_.end());
+  for (size_t index : touched_) {
+    SendBatch(now, static_cast<EngineId>(index / stride),
+              static_cast<StreamId>(index % stride),
+              std::move(buckets_[index]), emit_wall_us);
+    buckets_[index].clear();
+  }
+  touched_.clear();
 }
 
 void SplitHost::FilterAndRoute(Tick now, std::vector<Tuple> tuples,
@@ -101,7 +139,7 @@ void SplitHost::OnMessage(Tick now, const Message& message) {
             " received duplicate pause for relocation " +
             std::to_string(pause.relocation_id));
       }
-      for (auto& [stream, split] : splits_) split->Pause(pause.partitions);
+      for (auto& split : splits_) split->Pause(pause.partitions);
       if (DCAPE_TRACE_ACTIVE(config_.tracer)) {
         config_.tracer->EmitInstant(
             static_cast<int>(config_.node_id), now, obs::ev::kRelocPauseSplit,
@@ -146,7 +184,7 @@ void SplitHost::OnMessage(Tick now, const Message& message) {
       // Flush buffered tuples to the new owner before acking; they travel
       // the same FIFO link as all future tuples to that engine.
       std::vector<Tuple> released;
-      for (auto& [stream, split] : splits_) {
+      for (auto& split : splits_) {
         std::vector<Tuple> r = split->UpdateRoutingAndRelease(
             update.partitions, update.new_owner);
         released.insert(released.end(), std::make_move_iterator(r.begin()),
@@ -169,7 +207,7 @@ void SplitHost::OnMessage(Tick now, const Message& message) {
 
       if (config_.invariants != nullptr) {
         for (PartitionId p : update.partitions) {
-          for (auto& [stream, split] : splits_) {
+          for (auto& split : splits_) {
             if (split->IsPaused(p)) {
               config_.invariants->Report(
                   "split host " + std::to_string(config_.node_id) +
@@ -207,13 +245,13 @@ void SplitHost::OnMessage(Tick now, const Message& message) {
 
 int64_t SplitHost::total_buffered() const {
   int64_t total = 0;
-  for (const auto& [stream, split] : splits_) total += split->buffered_count();
+  for (const auto& split : splits_) total += split->buffered_count();
   return total;
 }
 
 int64_t SplitHost::paused_partition_count() const {
   int64_t total = 0;
-  for (const auto& [stream, split] : splits_) total += split->paused_count();
+  for (const auto& split : splits_) total += split->paused_count();
   return total;
 }
 

@@ -28,7 +28,7 @@ struct SplitHostConfig {
   NodeId coordinator_node = kInvalidNode;
   /// The input streams whose split operators live on this host. The
   /// paper distributes the stateless splits over the cluster machines
-  /// (Â§2); a single host carrying all streams is the degenerate case.
+  /// (§2); a single host carrying all streams is the degenerate case.
   std::vector<StreamId> streams;
   /// Optional WHERE predicate per hosted stream (parallel to `streams`;
   /// empty = no selection).
@@ -71,7 +71,9 @@ class SplitHost {
   Split& split(StreamId stream);
   const Split& split(StreamId stream) const;
   bool HostsStream(StreamId stream) const {
-    return splits_.count(stream) > 0;
+    return stream >= 0 &&
+           static_cast<size_t>(stream) < split_of_stream_.size() &&
+           split_of_stream_[static_cast<size_t>(stream)] != nullptr;
   }
   const std::vector<StreamId>& streams() const { return config_.streams; }
 
@@ -94,16 +96,30 @@ class SplitHost {
   /// (realtime runs) is copied onto every outgoing batch.
   void FilterAndRoute(Tick now, std::vector<Tuple> tuples,
                       int64_t emit_wall_us);
-  /// Routes tuples (no filtering â used for buffered re-release too).
+  /// Routes tuples (no filtering; used for buffered re-release too) and
+  /// sends one batch per (engine, stream), in that order.
   void RouteAndSend(Tick now, std::vector<Tuple> tuples,
                     int64_t emit_wall_us);
+  void SendBatch(Tick now, EngineId engine, StreamId stream,
+                 std::vector<Tuple> tuples, int64_t emit_wall_us);
 
   SplitHostConfig config_;
   Transport* network_;
   /// Relocation ids paused here and not yet released (invariant
   /// bookkeeping; only maintained when config_.invariants is set).
   std::set<int64_t> paused_relocations_;
-  std::map<StreamId, std::unique_ptr<Split>> splits_;
+  /// The hosted splits in ascending stream order, and each stream's split
+  /// by stream id (null where this host does not carry the stream).
+  std::vector<std::unique_ptr<Split>> splits_;
+  std::vector<Split*> split_of_stream_;
+  /// RouteAndSend's scratch, reused across calls: each tuple's engine
+  /// (kBuffered for a paused partition), the per-(engine, stream) buckets
+  /// at index engine * split_of_stream_.size() + stream, and the indexes
+  /// of the buckets a call filled.
+  static constexpr EngineId kBuffered = -1;
+  std::vector<EngineId> routes_;
+  std::vector<std::vector<Tuple>> buckets_;
+  std::vector<size_t> touched_;
   std::map<StreamId, std::unique_ptr<SelectOp>> selects_;
   std::unique_ptr<ProjectOp> project_;
 };

@@ -163,6 +163,36 @@ TEST(ClusterConfigBuilderTest, NonFiniteValuesAreRejected) {
   }
 }
 
+TEST(ClusterConfigBuilderTest, KeysPerPartitionMustFitTheKeyStride) {
+  // keys = tuple_range / (join_rate * partitions) is rounded to the
+  // nearest count, which must stay below StreamGenerator::kKeyStride;
+  // the inputs must be positive (the generator aborts otherwise).
+  struct Case {
+    double join_rate;
+    int64_t tuple_range;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Case& bad : {Case{3.0, 189000000}, Case{1e-300, 180000},
+                          Case{1.0, 62914530}, Case{0.0, 180000},
+                          Case{nan, 180000}, Case{3.0, 0}}) {
+    ClusterConfig c;
+    c.workload.num_partitions = 60;
+    c.workload.classes = {PartitionClass{}, {bad.join_rate, bad.tuple_range}};
+    Status status = ClusterConfig::Builder(c).Validate();
+    ASSERT_FALSE(status.ok()) << bad.join_rate << " " << bad.tuple_range;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    for (const char* flag : {"--tuple-range", "--join-rate", "--partitions"}) {
+      EXPECT_NE(status.message().find(flag), std::string::npos)
+          << status.ToString();
+    }
+  }
+  // 62,914,529 / 60 rounds to 1,048,575 keys: the largest that fits.
+  ClusterConfig c;
+  c.workload.num_partitions = 60;
+  c.workload.classes = {PartitionClass{1.0, 62914529}};
+  EXPECT_TRUE(ClusterConfig::Builder(c).Validate().ok());
+}
+
 TEST(ClusterConfigBuilderTest, PlacementSharesMustBeFiniteAndNonNegative) {
   for (const std::vector<double>& shares :
        {std::vector<double>{2, -1},

@@ -134,6 +134,24 @@ TEST(ExperimentFlagsTest, RejectsNonFiniteNumbersAndNegativeShares) {
   }
 }
 
+TEST(ExperimentFlagsTest, RejectsMoreKeysPerPartitionThanTheKeyStride) {
+  // 189,000,000 / (3 * 60) = 1,050,000 keys per partition, past the
+  // 2^20 a partition's key range holds; 1e-300 gives 3e303 keys, which
+  // once overflowed std::llround into one key per partition.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--tuple-range=189000000"},
+                                             {"--join-rate=1e-300"}}) {
+    StatusOr<ExperimentOptions> options = Parse(args);
+    ASSERT_FALSE(options.ok()) << args[0];
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    for (const char* flag : {"--tuple-range", "--join-rate", "--partitions"}) {
+      EXPECT_NE(options.status().message().find(flag), std::string::npos)
+          << options.status().ToString();
+    }
+  }
+  EXPECT_TRUE(Parse({"--tuple-range=188000000"}).ok());
+}
+
 TEST(ExperimentFlagsTest, ParsesGradualSpillFlags) {
   StatusOr<ExperimentOptions> options =
       Parse({"--strategy=spill-only", "--spill-fraction=adaptive",

@@ -12,9 +12,12 @@
 
 #include "stream/stream_generator.h"
 #include "stream/trace.h"
+#include "tests/test_util.h"
 
 namespace dcape {
 namespace {
+
+using testing::RecordingTransport;
 
 WorkloadConfig SmallWorkload() {
   WorkloadConfig config;
@@ -111,16 +114,6 @@ TEST_F(GeneratorNodeTest, TraceFinalizedByDestructorToo) {
   }
   EXPECT_TRUE(DecodeTrace(trace).ok());
 }
-
-/// Keeps every message sent, in send order, without delivering it.
-class RecordingTransport : public Transport {
- public:
-  void RegisterNode(NodeId, Handler) override {}
-  void Send(Message message, Tick) override {
-    sent.push_back(std::move(message));
-  }
-  std::vector<Message> sent;
-};
 
 /// Concatenates each stream's batches, in send order.
 std::map<StreamId, std::vector<Tuple>> TuplesByStream(

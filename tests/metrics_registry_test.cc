@@ -46,24 +46,6 @@ TEST(MetricsRegistryTest, ValueOfUnregisteredCellIsZero) {
   EXPECT_EQ(registry.Value(m::kSpillEvents, 9), 0);
 }
 
-TEST(MetricsRegistryTest, SnapshotPreservesRegistrationOrder) {
-  MetricsRegistry registry;
-  registry.AddCounter(m::kSpillEvents, 0)->Add(7);
-  registry.AddGauge(m::kResidentBytes, 0)->Set(11);
-  registry.AddCounter(m::kSpillEvents, 1)->Add(13);
-
-  std::vector<MetricsRegistry::Sample> samples = registry.Snapshot();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_STREQ(samples[0].name, m::kSpillEvents);
-  EXPECT_EQ(samples[0].entity, 0);
-  EXPECT_EQ(samples[0].value, 7);
-  EXPECT_STREQ(samples[1].name, m::kResidentBytes);
-  EXPECT_EQ(samples[1].value, 11);
-  EXPECT_EQ(samples[2].entity, 1);
-  EXPECT_EQ(samples[2].value, 13);
-  for (const MetricsRegistry::Sample& s : samples) EXPECT_EQ(s.index, -1);
-}
-
 TEST(MetricsRegistryTest, CellPointersSurviveLaterRegistrations) {
   MetricsRegistry registry;
   Counter* first = registry.AddCounter(m::kTuplesProcessed, 0);

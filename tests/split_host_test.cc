@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <utility>
+#include <vector>
+
 #include "runtime/cluster.h"
 #include "stream/stream_generator.h"
 #include "tests/test_util.h"
@@ -10,6 +14,7 @@ namespace dcape {
 namespace {
 
 using testing::AllResults;
+using testing::RecordingTransport;
 using testing::SmallClusterConfig;
 using testing::ToMultiset;
 
@@ -150,6 +155,104 @@ TEST_F(SplitHostTest, SelectionAppliesOnlyToFreshTuples) {
   EXPECT_EQ(engine0_tuples_, 1);
   EXPECT_EQ(host.select(0)->seen(), 2);
   EXPECT_EQ(host.select(0)->passed(), 1);
+}
+
+TupleBatch BatchOf(StreamId stream, std::vector<Tuple> tuples) {
+  TupleBatch batch;
+  batch.stream_id = stream;
+  batch.tuples = std::move(tuples);
+  return batch;
+}
+
+/// Destination, stream and tuple seqs of one sent tuple batch.
+struct Shipped {
+  NodeId to;
+  StreamId stream;
+  std::vector<int64_t> seqs;
+  bool operator==(const Shipped&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Shipped& s) {
+  os << "{to " << s.to << ", stream " << s.stream << ", seqs";
+  for (int64_t seq : s.seqs) os << " " << seq;
+  return os << "}";
+}
+
+/// The tuple batches among `sent`, in send order.
+std::vector<Shipped> ShippedBatches(const std::vector<Message>& sent) {
+  std::vector<Shipped> shipped;
+  for (const Message& m : sent) {
+    if (m.type != MessageType::kTupleBatch) continue;
+    const auto& batch = std::get<TupleBatch>(m.payload);
+    Shipped s{m.to, batch.stream_id, {}};
+    for (const Tuple& t : batch.tuples) s.seqs.push_back(t.seq);
+    shipped.push_back(std::move(s));
+  }
+  return shipped;
+}
+
+TEST(SplitHostRoutingTest, BatchesShipPerEngineAndStreamInThatOrder) {
+  RecordingTransport transport;
+  SplitHostConfig config;
+  config.node_id = 20;
+  config.coordinator_node = 10;
+  config.streams = {2, 0, 1};
+  SplitHost host(config, /*placement=*/{0, 0, 1, 1}, &transport);
+
+  // Relocation 5 pauses partitions 0 and 3 (owned by engines 0 and 1).
+  PausePartitions pause;
+  pause.relocation_id = 5;
+  pause.partitions = {0, 3};
+  pause.sender_node = 0;
+  Message pm;
+  pm.type = MessageType::kPausePartitions;
+  pm.from = 10;
+  pm.to = 20;
+  pm.payload = pause;
+  host.OnMessage(0, pm);
+  transport.sent.clear();
+
+  // A fresh batch that mixes engines ships one batch per engine, in
+  // engine order, each in arrival order; paused partitions buffer.
+  host.OnTupleBatch(1, BatchOf(1, {TupleFor(1, 1, 2), TupleFor(1, 2, 3),
+                                   TupleFor(1, 3, 1), TupleFor(1, 4, 0),
+                                   TupleFor(1, 5, 2)}));
+  // One going wholly to one engine ships as it came.
+  host.OnTupleBatch(2, BatchOf(0, {TupleFor(0, 6, 1), TupleFor(0, 7, 1)}));
+  host.OnTupleBatch(3, BatchOf(2, {TupleFor(2, 8, 0), TupleFor(2, 9, 3)}));
+  host.OnTupleBatch(4, BatchOf(0, {TupleFor(0, 10, 3), TupleFor(0, 11, 0)}));
+  EXPECT_EQ(ShippedBatches(transport.sent),
+            (std::vector<Shipped>{{0, 1, {3}}, {1, 1, {1, 5}}, {0, 0, {6, 7}}}));
+  EXPECT_EQ(host.total_buffered(), 6);
+  transport.sent.clear();
+
+  // The release mixes all three streams: one batch per (engine, stream),
+  // ascending, each holding its stream's buffered tuples in arrival
+  // order, then the ack.
+  UpdateRouting update;
+  update.relocation_id = 5;
+  update.partitions = {0, 3};
+  update.new_owner = 1;
+  Message um;
+  um.type = MessageType::kUpdateRouting;
+  um.from = 10;
+  um.to = 20;
+  um.payload = update;
+  host.OnMessage(5, um);
+  EXPECT_EQ(ShippedBatches(transport.sent),
+            (std::vector<Shipped>{
+                {1, 0, {10, 11}}, {1, 1, {2, 4}}, {1, 2, {8, 9}}}));
+  ASSERT_FALSE(transport.sent.empty());
+  EXPECT_EQ(transport.sent.back().type, MessageType::kRoutingUpdated);
+  EXPECT_EQ(host.total_buffered(), 0);
+
+  // After the release, a batch over both old owners' partitions mixes
+  // engines again, ascending.
+  transport.sent.clear();
+  host.OnTupleBatch(6, BatchOf(2, {TupleFor(2, 12, 3), TupleFor(2, 13, 1),
+                                   TupleFor(2, 14, 0)}));
+  EXPECT_EQ(ShippedBatches(transport.sent),
+            (std::vector<Shipped>{{0, 2, {13}}, {1, 2, {12, 14}}}));
 }
 
 /// End-to-end: the full distributed pipeline with one split host per

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/taxonomy.h"
 #include "runtime/cluster.h"
@@ -16,6 +17,16 @@
 
 namespace dcape {
 namespace testing {
+
+/// Keeps every message sent, in send order, without delivering it.
+class RecordingTransport : public Transport {
+ public:
+  void RegisterNode(NodeId, Handler) override {}
+  void Send(Message message, Tick) override {
+    sent.push_back(std::move(message));
+  }
+  std::vector<Message> sent;
+};
 
 /// A small, fast workload: 3-way join, 12 partitions, ~40 distinct keys
 /// per partition, a couple of thousand tuples per stream in a 1-minute
