@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/ids.h"
@@ -24,20 +25,23 @@ inline uint64_t SecondaryKeyHash(JoinKey key) {
 /// A row's number in a partition group's row arena. 32 bits bound a
 /// group to 2^32 - 1 rows; appending past that fails a DCAPE_CHECK.
 using RowId = uint32_t;
-/// Ends a row chain; also the first/last row of an empty chain.
+/// The tail of an empty chain.
 inline constexpr RowId kNoRow = UINT32_MAX;
 
 /// Open-addressed (linear probing) index from a join key to what a
 /// partition group keeps per key: the key's access clock and, for each
-/// input stream, the first and last row of the key's chain.
+/// input stream, the tail row of the key's chain. Chains are circular
+/// (the tail row links to the head), so the tail alone reaches both
+/// ends.
 ///
-/// One slot is 2 + m 64-bit words — the key, the access clock, then one
-/// word per stream packing (first row, last row) — so a probe reads one
-/// slot. Capacity is a power of two that doubles before the load passes
-/// 3/4; the home slot comes from the top bits of SecondaryKeyHash, which
-/// stay independent of the low bits the sub-partition split consumes.
-/// Erasure shifts the rest of the probe run back, so there are no
-/// tombstones. An index that never held a key owns no memory.
+/// One slot is 4 + m 32-bit words — the key and the access clock, two
+/// words each, then one tail per stream — 16 + 4m bytes, so a probe
+/// reads one slot. Capacity is a power of two that doubles before the
+/// load passes 3/4; the home slot comes from the top bits of
+/// SecondaryKeyHash, which stay independent of the low bits the
+/// sub-partition split consumes. Erasure shifts the rest of the probe
+/// run back, so there are no tombstones. An index that never held a key
+/// owns no memory.
 ///
 /// Slot numbers are valid until the next insertion, erasure or rehash.
 /// Iteration visits occupied slots in slot order, a function of the
@@ -49,22 +53,22 @@ class JoinKeyIndex {
   static constexpr size_t kNoSlot = SIZE_MAX;
 
   explicit JoinKeyIndex(int num_streams)
-      : stride_(2 + static_cast<size_t>(num_streams)) {}
+      : stride_(kTails + static_cast<size_t>(num_streams)) {}
 
   /// Number of keys held.
   int64_t size() const { return size_; }
   /// Bytes of the slot array (capacity, not occupancy). O(1).
   int64_t resident_bytes() const {
-    return static_cast<int64_t>(words_.capacity() * sizeof(uint64_t));
+    return static_cast<int64_t>(words_.capacity() * sizeof(uint32_t));
   }
 
   /// The slot holding `key`, or kNoSlot.
   size_t Find(JoinKey key) const {
     if (size_ == 0) return kNoSlot;
     for (size_t slot = Home(key);; slot = (slot + 1) & mask_) {
-      const uint64_t* w = Slot(slot);
-      if (w[1] == kEmpty) return kNoSlot;
-      if (w[0] == static_cast<uint64_t>(key)) return slot;
+      const uint32_t* w = Slot(slot);
+      if (IsEmpty(w)) return kNoSlot;
+      if (Load64(w) == static_cast<uint64_t>(key)) return slot;
     }
   }
 
@@ -75,9 +79,9 @@ class JoinKeyIndex {
     if (!words_.empty()) {
       size_t slot = Home(key);
       for (;; slot = (slot + 1) & mask_) {
-        const uint64_t* w = Slot(slot);
-        if (w[1] == kEmpty) break;
-        if (w[0] == static_cast<uint64_t>(key)) return slot;
+        const uint32_t* w = Slot(slot);
+        if (IsEmpty(w)) break;
+        if (Load64(w) == static_cast<uint64_t>(key)) return slot;
       }
       if ((static_cast<size_t>(size_) + 1) * 4 <= capacity() * 3) {
         return Claim(slot, key);
@@ -85,7 +89,7 @@ class JoinKeyIndex {
     }
     Rehash(words_.empty() ? kMinCapacity : 2 * capacity());
     size_t slot = Home(key);
-    while (Slot(slot)[1] != kEmpty) slot = (slot + 1) & mask_;
+    while (!IsEmpty(Slot(slot))) slot = (slot + 1) & mask_;
     return Claim(slot, key);
   }
 
@@ -97,26 +101,24 @@ class JoinKeyIndex {
   /// many erasures). Releases the slot array when no key is left.
   void ShrinkToFit();
 
-  JoinKey key(size_t slot) const { return static_cast<JoinKey>(Slot(slot)[0]); }
+  JoinKey key(size_t slot) const {
+    return static_cast<JoinKey>(Load64(Slot(slot)));
+  }
   /// The key's access clock (see PartitionGroup::SplitColdest).
   int64_t touch(size_t slot) const {
-    return static_cast<int64_t>(Slot(slot)[1]);
+    return static_cast<int64_t>(Load64(Slot(slot) + kClock));
   }
-  /// Access clocks are non-negative: the all-ones word marks an empty
+  /// Access clocks are non-negative: an all-ones clock marks an empty
   /// slot.
   void set_touch(size_t slot, int64_t touch) {
-    Slot(slot)[1] = static_cast<uint64_t>(touch);
+    Store64(Slot(slot) + kClock, static_cast<uint64_t>(touch));
   }
-  RowId first(size_t slot, int stream) const {
-    return static_cast<RowId>(Slot(slot)[2 + static_cast<size_t>(stream)]);
+  /// The tail row of stream `stream`'s chain, or kNoRow.
+  RowId tail(size_t slot, int stream) const {
+    return Slot(slot)[kTails + static_cast<size_t>(stream)];
   }
-  RowId last(size_t slot, int stream) const {
-    return static_cast<RowId>(Slot(slot)[2 + static_cast<size_t>(stream)] >>
-                              32);
-  }
-  void set_chain(size_t slot, int stream, RowId first, RowId last) {
-    Slot(slot)[2 + static_cast<size_t>(stream)] =
-        static_cast<uint64_t>(first) | (static_cast<uint64_t>(last) << 32);
+  void set_tail(size_t slot, int stream, RowId tail) {
+    Slot(slot)[kTails + static_cast<size_t>(stream)] = tail;
   }
 
   /// Occupied slots in slot order (hash order; see the class comment).
@@ -141,26 +143,47 @@ class JoinKeyIndex {
   Iterator end() const { return Iterator(this, capacity()); }
 
  private:
-  /// The access-clock word of an empty slot.
-  static constexpr uint64_t kEmpty = UINT64_MAX;
+  /// Word offsets in a slot: the key at 0, the access clock at kClock,
+  /// the first stream's tail at kTails.
+  static constexpr size_t kClock = 2;
+  static constexpr size_t kTails = 4;
+  /// Every word of an empty slot: its clock reads all ones and each of
+  /// its tails kNoRow.
+  static constexpr uint32_t kEmptyWord = UINT32_MAX;
+  static_assert(kEmptyWord == kNoRow);
   static constexpr size_t kMinCapacity = 8;
+
+  /// 64-bit fields sit at 4-byte alignment; memcpy reads and writes
+  /// them without an aligned-access assumption.
+  static uint64_t Load64(const uint32_t* w) {
+    uint64_t v;
+    std::memcpy(&v, w, sizeof v);
+    return v;
+  }
+  static void Store64(uint32_t* w, uint64_t v) {
+    std::memcpy(w, &v, sizeof v);
+  }
+  static bool IsEmpty(const uint32_t* w) {
+    return Load64(w + kClock) == UINT64_MAX;
+  }
 
   size_t capacity() const { return words_.size() / stride_; }
   size_t Home(JoinKey key) const {
     return static_cast<size_t>(SecondaryKeyHash(key) >> shift_);
   }
-  uint64_t* Slot(size_t slot) { return &words_[slot * stride_]; }
-  const uint64_t* Slot(size_t slot) const { return &words_[slot * stride_]; }
+  uint32_t* Slot(size_t slot) { return &words_[slot * stride_]; }
+  const uint32_t* Slot(size_t slot) const { return &words_[slot * stride_]; }
   size_t SkipEmpty(size_t slot) const {
     const size_t cap = capacity();
-    while (slot < cap && Slot(slot)[1] == kEmpty) ++slot;
+    while (slot < cap && IsEmpty(Slot(slot))) ++slot;
     return slot;
   }
-  /// Fills the empty `slot` with `key`, clock 0 and empty chains.
+  /// Fills the empty `slot` with `key` and clock 0; its tails are
+  /// already kNoRow.
   size_t Claim(size_t slot, JoinKey key) {
-    uint64_t* w = Slot(slot);
-    w[0] = static_cast<uint64_t>(key);
-    w[1] = 0;
+    uint32_t* w = Slot(slot);
+    Store64(w, static_cast<uint64_t>(key));
+    Store64(w + kClock, 0);
     ++size_;
     return slot;
   }
@@ -168,11 +191,10 @@ class JoinKeyIndex {
   /// power of two; 0 releases the array).
   void Rehash(size_t new_capacity);
 
-  /// Words per slot: key, access clock, one (first, last) word per stream.
+  /// Words per slot: kTails, then one tail per stream.
   size_t stride_;
-  /// capacity() * stride_ words; an empty slot's clock word is kEmpty
-  /// and an empty chain's word is all ones (first = last = kNoRow).
-  std::vector<uint64_t> words_;
+  /// capacity() * stride_ words.
+  std::vector<uint32_t> words_;
   size_t mask_ = 0;
   int shift_ = 64;
   int64_t size_ = 0;

@@ -37,8 +37,12 @@ Tuple PartitionGroup::RowRef::ToTuple(StreamId stream, JoinKey key) const {
 }
 
 size_t PartitionGroup::RowChain::size() const {
-  size_t n = 0;
-  for (RowId r = first_; r != kNoRow; r = group_->rows_[r].next) ++n;
+  if (empty()) return 0;
+  size_t n = 1;
+  for (RowId r = group_->rows_[tail_].next; r != tail_;
+       r = group_->rows_[r].next) {
+    ++n;
+  }
   return n;
 }
 
@@ -54,24 +58,23 @@ RowId PartitionGroup::AppendRow(size_t slot, int stream, const RowRef& tuple) {
   DCAPE_CHECK_LT(rows_.size(), size_t{kNoRow});
   DCAPE_CHECK_LE(tuple.payload.size(), size_t{UINT32_MAX});
   const RowId row = static_cast<RowId>(rows_.Allot(1));
+  // A chain of one: the row is its own head and tail.
   rows_[row] = Row{tuple.seq, tuple.timestamp, tuple.value, tuple.category,
                    payload_.Store(tuple.payload),
-                   static_cast<uint32_t>(tuple.payload.size()), kNoRow};
-  LinkBehind(slot, stream, row, row);
+                   static_cast<uint32_t>(tuple.payload.size()), row};
+  LinkBehind(slot, stream, row);
   bytes_ += Tuple::kHeaderBytes + static_cast<int64_t>(tuple.payload.size());
   tuple_count_ += 1;
   return row;
 }
 
-void PartitionGroup::LinkBehind(size_t slot, int stream, RowId first,
-                                RowId last) {
-  const RowId tail = index_.last(slot, stream);
-  if (tail == kNoRow) {
-    index_.set_chain(slot, stream, first, last);
-  } else {
-    rows_[tail].next = first;
-    index_.set_chain(slot, stream, index_.first(slot, stream), last);
-  }
+void PartitionGroup::LinkBehind(size_t slot, int stream, RowId tail) {
+  const RowId mine = index_.tail(slot, stream);
+  // Each tail holds its own chain's head; swapping them points this
+  // chain's tail at the spliced chain's head and the new tail back at
+  // this chain's head.
+  if (mine != kNoRow) std::swap(rows_[mine].next, rows_[tail].next);
+  index_.set_tail(slot, stream, tail);
 }
 
 int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
@@ -88,7 +91,7 @@ int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
   // An m-way result needs a partner from every other stream.
   bool all_matched = true;
   for (int s = 0; s < num_streams_ && all_matched; ++s) {
-    all_matched = s == own || index_.first(slot, s) != kNoRow;
+    all_matched = s == own || index_.tail(slot, s) != kNoRow;
   }
 
   // The arrival joins its own chain first; the enumeration below pins
@@ -109,8 +112,11 @@ int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
     result.partition = partition_;
     result.join_key = tuple.join_key;
     result.member_seqs.assign(static_cast<size_t>(num_streams_), 0);
+    // Each cursor starts at its chain's head, the tail's successor.
     for (int s = 0; s < num_streams_; ++s) {
-      if (s != own) cursor[static_cast<size_t>(s)] = index_.first(slot, s);
+      if (s != own) {
+        cursor[static_cast<size_t>(s)] = rows_[index_.tail(slot, s)].next;
+      }
     }
     while (true) {
       int64_t agg = 0;
@@ -138,14 +144,15 @@ int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
         ++produced;
       }
 
-      // Odometer increment over the non-arriving streams' chains.
+      // Odometer increment over the non-arriving streams' chains: a
+      // cursor stepping past its tail lands on the head and carries.
       int s = num_streams_ - 1;
       for (; s >= 0; --s) {
         if (s == own) continue;
         RowId& c = cursor[static_cast<size_t>(s)];
+        const bool wraps = c == index_.tail(slot, s);
         c = rows_[c].next;
-        if (c != kNoRow) break;
-        c = index_.first(slot, s);
+        if (!wraps) break;
       }
       if (s < 0) break;
     }
@@ -167,11 +174,14 @@ int64_t PartitionGroup::EvictBefore(Tick cutoff, PartitionGroup* evicted) {
     size_t expired = JoinKeyIndex::kNoSlot;
     bool empty = true;
     for (int s = 0; s < num_streams_; ++s) {
-      // Unlink expired rows (they become dead) and keep the survivors'
-      // order.
-      RowId first = index_.first(slot, s);
+      const RowId tail = index_.tail(slot, s);
+      if (tail == kNoRow) continue;
+      // Walk head to tail, unlinking expired rows (they become dead) and
+      // chaining the survivors in their order; the last survivor closes
+      // the circle.
+      RowId head = kNoRow;
       RowId kept = kNoRow;
-      for (RowId r = first; r != kNoRow;) {
+      for (RowId r = rows_[tail].next;;) {
         const RowId next = rows_[r].next;
         if (rows_[r].timestamp < cutoff) {
           if (expired == JoinKeyIndex::kNoSlot) {
@@ -181,18 +191,20 @@ int64_t PartitionGroup::EvictBefore(Tick cutoff, PartitionGroup* evicted) {
           bytes_ -= Tuple::kHeaderBytes + rows_[r].payload_size;
           tuple_count_ -= 1;
           ++moved;
-          if (kept == kNoRow) {
-            first = next;
-          } else {
-            rows_[kept].next = next;
-          }
         } else {
+          if (kept == kNoRow) {
+            head = r;
+          } else {
+            rows_[kept].next = r;
+          }
           kept = r;
         }
+        if (r == tail) break;
         r = next;
       }
-      index_.set_chain(slot, s, first, kept);
-      empty = empty && first == kNoRow;
+      if (kept != kNoRow) rows_[kept].next = head;
+      index_.set_tail(slot, s, kept);
+      empty = empty && kept == kNoRow;
     }
     // A key with no tuples left drops out, access clock included.
     if (empty) drained.push_back(index_.key(slot));
@@ -226,7 +238,7 @@ void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   payload_.Reserve(other.payload_.block_bytes());
   for (size_t r = 0; r < other.rows_.size(); ++r) {
     Row row = other.rows_[r];
-    if (row.next != kNoRow) row.next += row_base;
+    row.next += row_base;
     row.payload_handle = payload_.Store(
         other.payload_.Get(row.payload_handle, row.payload_size));
     rows_[rows_.Allot(1)] = row;
@@ -234,10 +246,8 @@ void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   for (size_t theirs : other.index_) {
     const size_t slot = index_.FindOrInsert(other.index_.key(theirs));
     for (int s = 0; s < num_streams_; ++s) {
-      const RowId first = other.index_.first(theirs, s);
-      if (first == kNoRow) continue;
-      LinkBehind(slot, s, first + row_base,
-                 other.index_.last(theirs, s) + row_base);
+      const RowId tail = other.index_.tail(theirs, s);
+      if (tail != kNoRow) LinkBehind(slot, s, tail + row_base);
     }
     index_.set_touch(slot,
                      std::max(index_.touch(slot), other.index_.touch(theirs)));
@@ -257,9 +267,10 @@ int64_t PartitionGroup::MoveKeyTo(size_t slot, PartitionGroup* dst) {
   int64_t moved_bytes = 0;
   int64_t moved_tuples = 0;
   for (int s = 0; s < num_streams_; ++s) {
-    for (RowId r = index_.first(slot, s); r != kNoRow; r = rows_[r].next) {
-      dst->AppendRow(theirs, s, View(r));
-      moved_bytes += Tuple::kHeaderBytes + rows_[r].payload_size;
+    for (const RowRef row : RowChain(this, index_.tail(slot, s))) {
+      dst->AppendRow(theirs, s, row);
+      moved_bytes += Tuple::kHeaderBytes +
+                     static_cast<int64_t>(row.payload.size());
       ++moved_tuples;
     }
   }
@@ -332,9 +343,13 @@ void PartitionGroup::ReclaimDead() {
   std::vector<RowId> moved_to(rows_.size(), kNoRow);
   for (size_t slot : index_) {
     for (int s = 0; s < num_streams_; ++s) {
-      for (RowId r = index_.first(slot, s); r != kNoRow; r = rows_[r].next) {
+      const RowId tail = index_.tail(slot, s);
+      if (tail == kNoRow) continue;
+      RowId r = tail;
+      do {
         moved_to[r] = 0;
-      }
+        r = rows_[r].next;
+      } while (r != tail);
     }
   }
   RowId live = 0;
@@ -347,15 +362,11 @@ void PartitionGroup::ReclaimDead() {
     rows_[live++] = row;
   }
   payloads.Seal();
-  for (RowId r = 0; r < live; ++r) {
-    if (rows_[r].next != kNoRow) rows_[r].next = moved_to[rows_[r].next];
-  }
+  for (RowId r = 0; r < live; ++r) rows_[r].next = moved_to[rows_[r].next];
   for (size_t slot : index_) {
     for (int s = 0; s < num_streams_; ++s) {
-      const RowId first = index_.first(slot, s);
-      if (first == kNoRow) continue;
-      index_.set_chain(slot, s, moved_to[first],
-                       moved_to[index_.last(slot, s)]);
+      const RowId tail = index_.tail(slot, s);
+      if (tail != kNoRow) index_.set_tail(slot, s, moved_to[tail]);
     }
   }
   rows_.Truncate(live);
@@ -399,11 +410,11 @@ void PartitionGroup::Serialize(std::string* out, SegmentFormat format) const {
       int64_t stream_tuples = 0;
       for (const auto& [key, slot] : keys) {
         stream_tuples += static_cast<int64_t>(
-            RowChain(this, index_.first(slot, s)).size());
+            RowChain(this, index_.tail(slot, s)).size());
       }
       writer.PutI64(stream_tuples);
       for (const auto& [key, slot] : keys) {
-        const RowChain run(this, index_.first(slot, s));
+        const RowChain run(this, index_.tail(slot, s));
         for (const RowRef t : run) {
           scratch.stream_id = s;
           scratch.seq = t.seq;
@@ -430,11 +441,11 @@ void PartitionGroup::Serialize(std::string* out, SegmentFormat format) const {
   for (int s = 0; s < num_streams_; ++s) {
     uint64_t runs = 0;
     for (const auto& [key, slot] : keys) {
-      runs += index_.first(slot, s) == kNoRow ? 0 : 1;
+      runs += index_.tail(slot, s) == kNoRow ? 0 : 1;
     }
     writer.PutVarint(runs);
     for (const auto& [key, slot] : keys) {
-      const RowChain run(this, index_.first(slot, s));
+      const RowChain run(this, index_.tail(slot, s));
       if (run.empty()) continue;
       writer.PutZigzag(key);
       writer.PutVarint(run.size());
@@ -570,7 +581,7 @@ std::vector<JoinKey> PartitionGroup::SortedKeysForStream(
   // dcape-lint: allow(unordered-net) — iteration order is erased by the
   // sort below; the cursor walks keys ascending, not in slot order.
   for (size_t slot : index_) {
-    if (index_.first(slot, stream) != kNoRow) keys.push_back(index_.key(slot));
+    if (index_.tail(slot, stream) != kNoRow) keys.push_back(index_.key(slot));
   }
   std::sort(keys.begin(), keys.end());
   return keys;
@@ -583,7 +594,7 @@ PartitionGroup::RowChain PartitionGroup::KeyTuples(JoinKey key,
   const size_t slot = index_.Find(key);
   return RowChain(this, slot == JoinKeyIndex::kNoSlot
                             ? kNoRow
-                            : index_.first(slot, stream));
+                            : index_.tail(slot, stream));
 }
 
 }  // namespace dcape

@@ -39,11 +39,13 @@ struct GroupStats {
 ///
 /// The state lives in three structures:
 ///  - a JoinKeyIndex (open addressing) holding, per join key, the key's
-///    access clock and each stream's first and last row;
+///    access clock and each stream's tail row;
 ///  - fixed-width 48-byte rows (seq, timestamp, value, category, payload
 ///    handle and length, next-row link) in a row arena, chained per
 ///    (key, stream) in arrival order — the stream is implied by the
-///    chain and the key lives in the index;
+///    chain and the key lives in the index. Chains are circular: the
+///    tail links back to the head, so one tail per stream reaches both
+///    the oldest tuple and the place an arrival appends;
 ///  - the payload bytes in a payload arena.
 /// Both arenas grow in fixed blocks that never move (BlockArena: 4,096
 /// rows, 256 KiB of payload); only block 0 grows by copying, up to a
@@ -83,16 +85,17 @@ class PartitionGroup {
   };
 
   /// One (key, stream) chain: a forward range of RowRefs in arrival
-  /// order, valid until the group next changes. Empty when the group
-  /// holds no such tuple.
+  /// order, head to tail, valid until the group next changes. Empty
+  /// when the group holds no such tuple.
   class RowChain {
    public:
     class Iterator {
      public:
       Iterator() = default;
       RowRef operator*() const { return group_->View(row_); }
+      /// The tail's successor is the head again: the walk ends there.
       Iterator& operator++() {
-        row_ = group_->rows_[row_].next;
+        row_ = row_ == tail_ ? kNoRow : group_->rows_[row_].next;
         return *this;
       }
       bool operator==(const Iterator& other) const {
@@ -101,16 +104,20 @@ class PartitionGroup {
 
      private:
       friend class RowChain;
-      Iterator(const PartitionGroup* group, RowId row)
-          : group_(group), row_(row) {}
+      Iterator(const PartitionGroup* group, RowId row, RowId tail)
+          : group_(group), row_(row), tail_(tail) {}
       const PartitionGroup* group_ = nullptr;
       RowId row_ = kNoRow;
+      RowId tail_ = kNoRow;
     };
 
     RowChain() = default;
-    Iterator begin() const { return Iterator(group_, first_); }
-    Iterator end() const { return Iterator(group_, kNoRow); }
-    bool empty() const { return first_ == kNoRow; }
+    Iterator begin() const {
+      return Iterator(group_, empty() ? kNoRow : group_->rows_[tail_].next,
+                      tail_);
+    }
+    Iterator end() const { return Iterator(group_, kNoRow, tail_); }
+    bool empty() const { return tail_ == kNoRow; }
     /// The chain's length; walks the chain.
     size_t size() const;
     /// The oldest tuple; the chain must not be empty.
@@ -118,10 +125,10 @@ class PartitionGroup {
 
    private:
     friend class PartitionGroup;
-    RowChain(const PartitionGroup* group, RowId first)
-        : group_(group), first_(first) {}
+    RowChain(const PartitionGroup* group, RowId tail)
+        : group_(group), tail_(tail) {}
     const PartitionGroup* group_ = nullptr;
-    RowId first_ = kNoRow;
+    RowId tail_ = kNoRow;
   };
 
   /// An empty group for `partition` over `num_streams` join inputs. It
@@ -273,7 +280,8 @@ class PartitionGroup {
     /// a group to 4 GiB of payload blocks, which storing checks.
     uint32_t payload_handle;
     uint32_t payload_size;
-    /// The next row of the same (key, stream) chain, or kNoRow.
+    /// The next row of the same (key, stream) chain; the tail's is the
+    /// head.
     RowId next;
   };
   static_assert(sizeof(Row) == Tuple::kHeaderBytes);
@@ -283,9 +291,9 @@ class PartitionGroup {
   /// `slot`, copying its payload into the payload arena; updates byte /
   /// tuple accounting. Returns the row.
   RowId AppendRow(size_t slot, int stream, const RowRef& tuple);
-  /// Links rows `first`..`last`, already chained to each other, behind
-  /// stream `stream`'s chain at index slot `slot`.
-  void LinkBehind(size_t slot, int stream, RowId first, RowId last);
+  /// Splices the circular chain whose tail is `tail` behind stream
+  /// `stream`'s chain at index slot `slot`; `tail` becomes its tail.
+  void LinkBehind(size_t slot, int stream, RowId tail);
   /// Copies the key at `slot` — every stream's chain and the access
   /// clock — into `dst`, behind any tuples `dst` already has for it,
   /// then drops it here (its rows become dead). Returns the bytes moved.

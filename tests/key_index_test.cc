@@ -11,11 +11,10 @@
 namespace dcape {
 namespace {
 
-/// Each key's clock and stream-1 chain ends are derived from the key, so
-/// a slot that moved (rehash, backward shift) must carry them along.
+/// Each key's clock and stream-1 tail are derived from the key, so a
+/// slot that moved (rehash, backward shift) must carry them along.
 int64_t TouchOf(JoinKey key) { return (key & 0xffff) + 1; }
-RowId FirstOf(JoinKey key) { return static_cast<RowId>(key & 0xfff); }
-RowId LastOf(JoinKey key) { return static_cast<RowId>((key >> 12) & 0xfff); }
+RowId TailOf(JoinKey key) { return static_cast<RowId>(key & 0xffffff); }
 
 void ExpectMatches(const JoinKeyIndex& index, const std::set<JoinKey>& keys,
                    const std::set<JoinKey>& absent) {
@@ -25,9 +24,8 @@ void ExpectMatches(const JoinKeyIndex& index, const std::set<JoinKey>& keys,
     ASSERT_NE(slot, JoinKeyIndex::kNoSlot) << key;
     EXPECT_EQ(index.key(slot), key);
     EXPECT_EQ(index.touch(slot), TouchOf(key));
-    EXPECT_EQ(index.first(slot, 0), kNoRow);
-    EXPECT_EQ(index.first(slot, 1), FirstOf(key));
-    EXPECT_EQ(index.last(slot, 1), LastOf(key));
+    EXPECT_EQ(index.tail(slot, 0), kNoRow);
+    EXPECT_EQ(index.tail(slot, 1), TailOf(key));
   }
   for (JoinKey key : absent) {
     EXPECT_EQ(index.Find(key), JoinKeyIndex::kNoSlot) << key;
@@ -51,7 +49,7 @@ TEST(JoinKeyIndexTest, MatchesASetThroughGrowthErasureAndShrink) {
     const size_t slot = index.FindOrInsert(key);
     EXPECT_EQ(index.FindOrInsert(key), slot) << "a second insert moved it";
     index.set_touch(slot, TouchOf(key));
-    index.set_chain(slot, 1, FirstOf(key), LastOf(key));
+    index.set_tail(slot, 1, TailOf(key));
     keys.insert(key);
   }
   ExpectMatches(index, keys, erased);
@@ -82,6 +80,26 @@ TEST(JoinKeyIndexTest, MatchesASetThroughGrowthErasureAndShrink) {
   EXPECT_EQ(index.size(), 0);
   EXPECT_EQ(index.resident_bytes(), 0);
   EXPECT_EQ(index.Find(order.front()), JoinKeyIndex::kNoSlot);
+}
+
+TEST(JoinKeyIndexTest, SlotIsKeyClockAndOneTailPerStream) {
+  // 8 bytes of key, 8 of access clock and a 4-byte tail per stream: 28
+  // bytes at three streams, and one key takes the minimum 8 slots.
+  JoinKeyIndex index(/*num_streams=*/3);
+  const size_t slot = index.FindOrInsert(INT64_MIN);
+  EXPECT_EQ(index.resident_bytes(), 8 * 28);
+  EXPECT_EQ(index.touch(slot), 0);
+  for (int s = 0; s < 3; ++s) EXPECT_EQ(index.tail(slot, s), kNoRow);
+  // The 64-bit fields sit at 4-byte alignment and keep every bit.
+  index.set_touch(slot, INT64_MAX);
+  index.set_tail(slot, 0, 0);
+  index.set_tail(slot, 2, kNoRow - 1);
+  EXPECT_EQ(index.Find(INT64_MIN), slot);
+  EXPECT_EQ(index.key(slot), INT64_MIN);
+  EXPECT_EQ(index.touch(slot), INT64_MAX);
+  EXPECT_EQ(index.tail(slot, 0), 0u);
+  EXPECT_EQ(index.tail(slot, 1), kNoRow);
+  EXPECT_EQ(index.tail(slot, 2), kNoRow - 1);
 }
 
 }  // namespace
